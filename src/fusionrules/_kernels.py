@@ -1,72 +1,23 @@
-"""Hot numeric kernels with numba-compiled and pure NumPy/Python variants.
+"""Hot numeric kernels, one interpreted implementation each.
 
-The three kernels here dominate the runtime of large surveys: the full
-associativity defect of a fusion tensor, the power-iteration spectral radius
-used for Frobenius-Perron dimensions, and the backtracking search that
-exhaustively enumerates fusion tensors.
-
-Selection: by default the numba variants are used when numba imports cleanly.
-Set ``FUSIONRULES_NUMBA=0`` to force the fallback path, ``FUSIONRULES_NUMBA=1``
-to insist on numba (warns and falls back if numba is unavailable).  Both
-variants of every kernel produce identical results; ``benchmarks/bench_kernels.py``
-compares their speed.
+The two kernels here dominate the runtime of large surveys and analyses: the
+power-iteration spectral radius used for Frobenius-Perron dimensions, and the
+backtracking search that exhaustively enumerates fusion tensors.  The
+associativity defect lives in :mod:`fusionrules.core`, next to ``validate``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via FUSIONRULES_NUMBA=0 instead
-    numba = None
-
-
-def _numba_requested() -> bool | None:
-    value = os.environ.get("FUSIONRULES_NUMBA", "auto").strip().lower()
-    if value in {"0", "false", "no", "off"}:
-        return False
-    if value in {"1", "true", "yes", "on"}:
-        return True
-    return None  # auto
-
-
-_requested = _numba_requested()
-if _requested and numba is None:  # pragma: no cover
-    warnings.warn("FUSIONRULES_NUMBA=1 but numba is not importable; using fallback kernels")
-USING_NUMBA = (numba is not None) if _requested is None else (_requested and numba is not None)
-
-
-# --- associativity defect ----------------------------------------------------
-
-def assoc_defect_numpy(tensor: np.ndarray) -> np.ndarray:
-    """lhs - rhs of the associativity constraint for every (i, j, k, l)."""
-    lhs = np.einsum("ijm,mkl->ijkl", tensor, tensor)
-    rhs = np.einsum("jkm,iml->ijkl", tensor, tensor)
-    return lhs - rhs
-
-
-def _assoc_defect_loops(tensor):
-    r = tensor.shape[0]
-    out = np.zeros((r, r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    s = 0
-                    for m in range(r):
-                        s += tensor[i, j, m] * tensor[m, k, l]
-                        s -= tensor[j, k, m] * tensor[i, m, l]
-                    out[i, j, k, l] = s
-    return out
+# There is no compiled backend.  The constant stays because the benchmark
+# harness records it as the kernel backend of each run.
+USING_NUMBA = False
 
 
 # --- spectral radius via power iteration ------------------------------------
 
-def power_radius_numpy(mat: np.ndarray, threshold: float, max_iter: int):
+def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
     """Spectral radius of a non-negative matrix by power iteration.
 
     Iterates on ``mat + I`` (the shift keeps periodic non-negative matrices,
@@ -92,25 +43,9 @@ def power_radius_numpy(mat: np.ndarray, threshold: float, max_iter: int):
     return est - 1.0, resid, max_iter
 
 
-def _power_radius_loops(mat, threshold, max_iter):
-    n = mat.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    est = 0.0
-    resid = 1e300
-    for it in range(1, max_iter + 1):
-        w = np.dot(mat, v) + v
-        est = np.sqrt(np.dot(w, w))
-        diff = w - est * v
-        resid = np.sqrt(np.dot(diff, diff))
-        v = w / est
-        if resid <= threshold:
-            return est - 1.0, resid, it
-    return est - 1.0, resid, max_iter
-
-
 # --- exhaustive tensor search -------------------------------------------------
 #
-# Shared data layout (prepared by the explorer module):
+# Data layout (prepared by the explorer module):
 #   base      int64[r**3]   flattened tensor, forced entries filled, free == -1
 #   orbit_a   int64[T]      flat index of each free orbit's representative cell
 #   orbit_b   int64[T]      flat index of the duality-mirror cell (== orbit_a
@@ -122,53 +57,13 @@ def _power_radius_loops(mat, threshold, max_iter):
 #   quads     int64[Q, 4]   the (i, j, k, l) of each quadruple
 #
 # The search assigns orbits in order with values 0..max_val and prunes on the
-# first violated quadruple.  Solutions are complete flattened tensors.
+# first violated quadruple.  Solutions are complete flattened tensors.  The
+# arrays are converted to Python lists first: indexing lists is much faster
+# than indexing ndarrays element by element in the interpreter.
 
 
-def _search_loops(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank, out):
-    T = orbit_a.shape[0]
-    cap = out.shape[0]
-    r = rank
-    tensor = base.copy()
-    vals = np.full(T, -1, dtype=np.int64)
-    count = 0
-    t = 0
-    while t >= 0:
-        v = vals[t] + 1
-        if v > max_val:
-            vals[t] = -1
-            tensor[orbit_a[t]] = -1
-            tensor[orbit_b[t]] = -1
-            t -= 1
-            continue
-        vals[t] = v
-        tensor[orbit_a[t]] = v
-        tensor[orbit_b[t]] = v
-        ok = True
-        for q in range(quad_ptr[t], quad_ptr[t + 1]):
-            i = quads[q, 0]
-            j = quads[q, 1]
-            k = quads[q, 2]
-            l = quads[q, 3]
-            s = 0
-            for m in range(r):
-                s += tensor[(i * r + j) * r + m] * tensor[(m * r + k) * r + l]
-                s -= tensor[(j * r + k) * r + m] * tensor[(i * r + m) * r + l]
-            if s != 0:
-                ok = False
-                break
-        if ok:
-            if t == T - 1:
-                if count < cap:
-                    out[count, :] = tensor
-                count += 1
-            else:
-                t += 1
-    return count
-
-
-def _search_python(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
-    """Plain-Python variant of :func:`_search_loops`; returns the solution list."""
+def search_tensors(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
+    """Every solution of the search as an int64 array of shape ``(n, rank**3)``."""
     T = len(orbit_a)
     r = rank
     tensor = list(base)
@@ -205,40 +100,6 @@ def _search_python(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
                 solutions.append(tuple(tensor))
             else:
                 t += 1
-    return solutions
-
-
-def search_tensors_python(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
-    sols = _search_python(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank)
-    if not sols:
+    if not solutions:
         return np.empty((0, base.size), dtype=np.int64)
-    return np.array(sols, dtype=np.int64)
-
-
-if numba is not None:
-    assoc_defect_numba = numba.njit(cache=True)(_assoc_defect_loops)
-    power_radius_numba = numba.njit(cache=True)(_power_radius_loops)
-    _search_numba = numba.njit(cache=True)(_search_loops)
-
-    def search_tensors_numba(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
-        cap = 1 << 13
-        while True:
-            out = np.empty((cap, base.size), dtype=np.int64)
-            n = _search_numba(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank, out)
-            if n <= cap:
-                return out[:n].copy()
-            cap = n
-else:  # pragma: no cover
-    assoc_defect_numba = None
-    power_radius_numba = None
-    search_tensors_numba = None
-
-
-if USING_NUMBA:
-    assoc_defect = assoc_defect_numba
-    power_radius = power_radius_numba
-    search_tensors = search_tensors_numba
-else:
-    assoc_defect = assoc_defect_numpy
-    power_radius = power_radius_numpy
-    search_tensors = search_tensors_python
+    return np.array(solutions, dtype=np.int64)

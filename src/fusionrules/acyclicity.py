@@ -126,87 +126,30 @@ def _label_digraph(rule: FusionRule) -> dict[int, list[int]]:
     return adj
 
 
-def _strongly_connected(adj: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; nodes visited in sorted order for determinism."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    sccs: list[list[int]] = []
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            descended = False
-            neighbors = adj[v]
-            while work[-1][1] < len(neighbors):
-                w = neighbors[work[-1][1]]
-                work[-1][1] += 1
-                if w not in index:
-                    work.append([w, 0])
-                    descended = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(scc))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
-
-
 def find_cycle(rule: FusionRule) -> CycleWitness | None:
     """Shortest directed cycle in the adjoint graph, or None if acyclic.
 
-    Any vertex inside a multi-vertex strongly connected component, or with a
-    self-loop, certifies a cycle; the witness is extracted by breadth-first
-    search inside the offending component.  Ties on length break toward the
-    smallest starting label.
+    Breadth-first search from each non-vacuum label in ascending order finds
+    the shortest cycle through it; ties on length break toward the smallest
+    starting label.  A search only looks for cycles shorter than the best one
+    so far, since a later start cannot win a tie.
     """
     adj = _label_digraph(rule)
-    component_of = {}
-    members: dict[int, list[int]] = {}
-    for n, scc in enumerate(_strongly_connected(adj)):
-        members[n] = scc
-        for v in scc:
-            component_of[v] = n
-
-    candidates = sorted(
-        v for v in adj if len(members[component_of[v]]) > 1 or v in adj[v]
-    )
-    best: tuple[int, int, list[int]] | None = None  # (length, start, path)
-    for start in candidates:
-        scc = set(members[component_of[start]])
+    best: list[int] | None = None  # start -> ... -> last label before start
+    for start in sorted(adj):
         parent: dict[int, int] = {}
         found = None
         queue = deque([start])
         dist = {start: 0}
         while queue and found is None:
             u = queue.popleft()
+            if best is not None and dist[u] + 1 >= len(best):
+                break
             for w in adj[u]:
                 if w == start:
                     found = u
                     break
-                if w in scc and w not in dist:
+                if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
@@ -215,15 +158,12 @@ def find_cycle(rule: FusionRule) -> CycleWitness | None:
         path = [found]
         while path[-1] != start:
             path.append(parent[path[-1]])
-        path.reverse()  # start -> ... -> found
-        length = len(path)
-        if best is None or (length, start) < (best[0], best[1]):
-            best = (length, start, path)
+        path.reverse()
+        best = path
     if best is None:
         return None
-    _, start, path = best
-    labels = tuple(path) + (start,)
-    mults = tuple(int(rule.tensor[labels[k], rule.dual[labels[k]], labels[k + 1]]) for k in range(len(path)))
+    labels = tuple(best) + (best[0],)
+    mults = tuple(int(rule.tensor[labels[k], rule.dual[labels[k]], labels[k + 1]]) for k in range(len(best)))
     return CycleWitness(labels=labels, multiplicities=mults)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NumericalError, StructuralError
+from .errors import CapacityError, NumericalError, StructuralError
 
 POWER_ITERATION_CAP = 10**6
 
@@ -128,19 +128,22 @@ class ValidationReport:
 
 
 def _associativity_defects(N: np.ndarray):
-    """Yield ``(i, j, k, l, lhs - rhs)`` for every violated quadruple.
+    """Yield ``(i, j, k, l, lhs - rhs)`` for every violated quadruple, in
+    lexicographic order of ``(i, j, k, l)``.
 
-    The full defect tensor needs rank**4 memory, fine up to rank ~40; beyond
-    that, work per-i with BLAS matrix products (exact: entries stay far below
-    2**53).
+    Works one ``i`` at a time with float64 BLAS matrix products, so memory is
+    rank**3 rather than rank**4.  Every partial sum of
+    ``lhs = sum_m N[i,j,m] N[m,k,l]`` (and of ``rhs``) is a non-negative
+    integer no larger than ``rank * max(N)**2``, so the products are exact
+    while that stays within 2**53; a larger tensor raises ``CapacityError``.
     """
     r = N.shape[0]
-    if r <= 40:
-        defect = _kernels.assoc_defect(N)
-        for idx in np.argwhere(defect != 0):
-            i, j, k, l = (int(x) for x in idx)
-            yield i, j, k, l, int(defect[i, j, k, l])
-        return
+    top = int(N.max())
+    if r * top**2 > 2**53:
+        raise CapacityError(
+            f"associativity check needs rank * max(N)**2 <= 2**53; this rank-{r} "
+            f"tensor has max entry {top}"
+        )
     Nf = N.astype(np.float64)
     by_m = Nf.reshape(r, r * r)      # m -> (k, l)
     to_m = Nf.reshape(r * r, r)      # (j, k) -> m

@@ -11,7 +11,8 @@ class StructuralError(FusionError, ValueError):
 
 
 class CapacityError(FusionError, ValueError):
-    """A request exceeds a configured size cap (enumeration bounds, group order)."""
+    """A request exceeds a configured size cap (enumeration bounds, group order)
+    or the range in which a computation stays exact."""
 
 
 class NumericalError(FusionError, ArithmeticError):

@@ -62,6 +62,39 @@ def acyclic_by_definition(rule: FusionRule) -> bool:
     return True
 
 
+def associativity_defect_list(tensor: np.ndarray) -> list:
+    """``(i, j, k, l, lhs - rhs)`` for every nonzero associativity defect, in
+    lexicographic order, from one dense int64 einsum (rank**4 memory)."""
+    lhs = np.einsum("ijm,mkl->ijkl", tensor, tensor)
+    rhs = np.einsum("jkm,iml->ijkl", tensor, tensor)
+    defect = lhs - rhs
+    return [
+        (int(i), int(j), int(k), int(l), int(defect[i, j, k, l]))
+        for i, j, k, l in np.argwhere(defect != 0)
+    ]
+
+
+def shortest_cycle_by_powers(rule: FusionRule) -> tuple[int, int] | None:
+    """``(length, start)`` of the shortest cycle of the label digraph, by
+    boolean matrix powers: the shortest cycle through ``s`` has the first
+    length ``n`` with ``(A**n)[s, s] > 0``.  Ties go to the smallest ``s``;
+    ``None`` when no power up to the number of non-vacuum labels closes."""
+    N = rule.tensor
+    d = rule.dual
+    r = rule.rank
+    A = np.zeros((r, r), dtype=bool)
+    for s in range(1, r):
+        for t in range(1, r):
+            A[s, t] = N[s, d[s], t] > 0
+    power = A.copy()
+    for n in range(1, r):
+        closed = [s for s in range(1, r) if power[s, s]]
+        if closed:
+            return n, closed[0]
+        power = (power.astype(np.int64) @ A.astype(np.int64)) > 0
+    return None
+
+
 def naive_census(rank: int, max_mult: int, strict: bool = False) -> set:
     """All valid (dual, tensor) pairs by unpruned exhaustion; rank <= 3 only.
 

@@ -1,6 +1,13 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fusionrules import (
+    EnumSpec,
+    FusionRule,
     adjoint_graph,
     check_theorem,
+    enumerate_rules,
     find_cycle,
     is_acyclic,
     named_fixture,
@@ -10,7 +17,7 @@ from fusionrules import (
 )
 from fusionrules.groups import builtin_group
 
-from oracles import acyclic_by_definition
+from oracles import acyclic_by_definition, shortest_cycle_by_powers
 
 
 class TestAdjointGraph:
@@ -130,6 +137,43 @@ class TestIsAcyclic:
             if rule.rank > 6:
                 continue
             assert is_acyclic(rule) == acyclic_by_definition(rule), name
+
+
+def assert_witness_matches_powers(rule, name=None):
+    witness = find_cycle(rule)
+    expected = shortest_cycle_by_powers(rule)
+    if expected is None:
+        assert witness is None, name
+        return
+    assert (len(witness), witness.labels[0]) == expected, name
+    assert witness.holds_in(rule), name
+
+
+@st.composite
+def digraph_rules(draw):
+    # find_cycle reads only the dual map and the rows N[i, dual(i), :]
+    r = draw(st.integers(1, 6))
+    dual = draw(st.permutations(range(r)))
+    flat = draw(st.lists(st.integers(0, 2), min_size=r**3, max_size=r**3))
+    tensor = np.array(flat, dtype=np.int64).reshape(r, r, r)
+    return FusionRule(labels=tuple(str(x) for x in range(r)), dual=dual, tensor=tensor)
+
+
+class TestWitnessAgainstMatrixPowers:
+    """Length and start of the shortest witness, against boolean matrix powers."""
+
+    def test_every_rank4_rule(self):
+        for n, rule in enumerate(enumerate_rules(EnumSpec(4, 2))):
+            assert_witness_matches_powers(rule, n)
+
+    def test_corpus(self, corpus):
+        for name, rule in corpus.items():
+            assert_witness_matches_powers(rule, name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraph_rules())
+    def test_random_tensors(self, rule):
+        assert_witness_matches_powers(rule)
 
 
 class TestCheckTheorem:

@@ -36,6 +36,16 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_capacity_exit_two(self, tmp_path, capsys):
+        doc = {"rank": 2, "dual": [0, 1],
+               "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2**27]]}
+        path = tmp_path / "huge.rule"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "2**53" in err and "Traceback" not in err
+
     def test_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "nj.rule"
         path.write_text("not json", encoding="utf-8")

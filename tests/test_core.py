@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionrules import (
+    CapacityError,
     FusionRule,
     StructuralError,
     fp_dimensions,
@@ -9,11 +12,13 @@ from fusionrules import (
     named_fixture,
     pointed,
     product,
+    su2k,
     validate,
 )
+from fusionrules.core import _associativity_defects
 from fusionrules.groups import builtin_group
 
-from oracles import naive_validate
+from oracles import associativity_defect_list, naive_validate
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -128,7 +133,7 @@ class TestValidate:
             assert validate(rule).valid == naive_validate(rule)
 
     def test_blocked_associativity_path_at_large_rank(self):
-        # above rank 40, validate switches to blocked matrix products
+        # a large pointed rule: one extra channel breaks associativity
         from fusionrules import cyclic
 
         base = pointed(cyclic(41))
@@ -137,6 +142,22 @@ class TestValidate:
         t[1, 2, 5] = 1
         report = validate(FusionRule(labels=base.labels, dual=base.dual, tensor=t))
         assert "associativity" in report.codes()
+
+    def test_capacity_guard(self):
+        # 2 * (2**27)**2 = 2**55 is past float64's exact integer range
+        t = np.array(rank2_rule().tensor)
+        t[1, 1, 1] = 2**27
+        with pytest.raises(CapacityError):
+            validate(FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t))
+
+    def test_exact_at_the_capacity_bound(self):
+        # 2 * (2**26)**2 = 2**53: the largest entry the guard lets through
+        t = np.array(rank2_rule().tensor)
+        t[1, 1, 1] = 2**26
+        t[1, 0, 1] = 2**26 - 1
+        expected = associativity_defect_list(t)
+        assert max(abs(d[4]) for d in expected) > 2**51
+        assert list(_associativity_defects(t)) == expected
 
     def test_rules_are_hashable(self):
         assert len({named_fixture("ising"), named_fixture("ising")}) == 1
@@ -147,6 +168,41 @@ class TestValidate:
         for name, rule in corpus.items():
             for i in range(rule.rank):
                 assert np.array_equal(rule.tensor[rule.dual[i]], rule.tensor[i].T), name
+
+
+@st.composite
+def small_tensors(draw):
+    r = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, 3), min_size=r**3, max_size=r**3))
+    return np.array(flat, dtype=np.int64).reshape(r, r, r)
+
+
+class TestAssociativityDefects:
+    """One float64-blocked path at every rank against the dense int64 einsum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_tensors())
+    def test_matches_dense_reference_on_random_tensors(self, t):
+        assert list(_associativity_defects(t)) == associativity_defect_list(t)
+
+    @pytest.mark.parametrize("name,mutations", [("su2k_20", 12), ("so8_2", 12), ("so8_2_x_toric", 3)])
+    def test_matches_dense_reference_on_mutations(self, name, mutations):
+        rule = {
+            "su2k_20": lambda: su2k(20),
+            "so8_2": lambda: named_fixture("so8_2"),
+            "so8_2_x_toric": lambda: product(named_fixture("so8_2"), named_fixture("toric")),
+        }[name]()
+        rng = np.random.default_rng(rule.rank)
+        for _ in range(mutations):
+            t = np.array(rule.tensor)
+            i, j, k = rng.integers(0, rule.rank, size=3)
+            t[i, j, k] = (t[i, j, k] + rng.integers(1, 4)) % 4
+            expected = associativity_defect_list(t)
+            assert expected
+            assert list(_associativity_defects(t)) == expected
+            report = validate(FusionRule(labels=rule.labels, dual=rule.dual, tensor=t))
+            found = [v.index for v in report.violations if v.axiom == "associativity"]
+            assert found == [d[:4] for d in expected]
 
 
 class TestFPDimensions:

@@ -1,50 +1,28 @@
-"""Both kernel variants (numba-compiled and NumPy/Python fallback) must agree
-exactly; these tests run the pairs side by side."""
+"""The interpreted kernels and the associativity defect, checked against
+independent references."""
 
 import numpy as np
-import pytest
 
 from fusionrules import _kernels, named_fixture, su2k
-from fusionrules.explorer import _involutions, _prepare
-
-needs_numba = pytest.mark.skipif(
-    _kernels.search_tensors_numba is None, reason="numba unavailable"
-)
-
-
-def test_flag_consistency():
-    if _kernels.USING_NUMBA:
-        assert _kernels.assoc_defect is _kernels.assoc_defect_numba
-        assert _kernels.search_tensors is _kernels.search_tensors_numba
-    else:
-        assert _kernels.assoc_defect is _kernels.assoc_defect_numpy
-        assert _kernels.search_tensors is _kernels.search_tensors_python
+from fusionrules.core import _associativity_defects
 
 
 def test_assoc_defect_zero_on_valid_rules():
     for rule in (named_fixture("ising"), named_fixture("so8_2"), su2k(5)):
-        assert not _kernels.assoc_defect_numpy(rule.tensor).any()
+        assert not list(_associativity_defects(rule.tensor))
 
 
 def test_assoc_defect_catches_breakage():
     t = np.array(named_fixture("ising").tensor)
     t[1, 1, 2] = 2
-    assert _kernels.assoc_defect_numpy(t).any()
-
-
-@needs_numba
-def test_assoc_defect_variants_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        t = rng.integers(0, 3, size=(4, 4, 4)).astype(np.int64)
-        assert np.array_equal(_kernels.assoc_defect_numba(t), _kernels.assoc_defect_numpy(t))
+    assert list(_associativity_defects(t))
 
 
 def test_power_radius_matches_eigensolver():
     for rule in (su2k(7), named_fixture("so8_2"), named_fixture("fibonacci")):
         for i in range(rule.rank):
             mat = rule.tensor[i].astype(np.float64)
-            radius, resid, _ = _kernels.power_radius_numpy(mat, 1e-8, 10 ** 6)
+            radius, resid, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
             assert resid <= 1e-8
             expected = max(abs(np.linalg.eigvals(mat)))
             assert abs(radius - expected) < 1e-7
@@ -53,40 +31,6 @@ def test_power_radius_matches_eigensolver():
 def test_power_radius_handles_periodic_matrices():
     # the spin-1/2 fusion matrix is bipartite; the shift keeps iteration stable
     mat = su2k(9).tensor[1].astype(np.float64)
-    radius, resid, _ = _kernels.power_radius_numpy(mat, 1e-8, 10 ** 6)
+    radius, resid, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
     assert resid <= 1e-8
     assert abs(radius - 2 * np.cos(np.pi / 11)) < 1e-7
-
-
-@needs_numba
-def test_power_radius_variants_agree():
-    for rule in (su2k(6), named_fixture("so8_2")):
-        for i in range(rule.rank):
-            mat = rule.tensor[i].astype(np.float64)
-            a = _kernels.power_radius_numba(mat, 1e-8, 10 ** 6)
-            b = _kernels.power_radius_numpy(mat, 1e-8, 10 ** 6)
-            assert a[0] == pytest.approx(b[0], abs=1e-12)
-            assert a[2] == b[2]
-
-
-@needs_numba
-@pytest.mark.parametrize("rank,max_mult", [(3, 2), (4, 1)])
-def test_search_variants_identical(rank, max_mult):
-    for dual in _involutions(rank):
-        plan = _prepare(rank, dual, False)
-        args = (plan.base, plan.orbit_a, plan.orbit_b, plan.quad_ptr, plan.quads, max_mult, rank)
-        assert np.array_equal(
-            _kernels.search_tensors_numba(*args), _kernels.search_tensors_python(*args)
-        )
-
-
-@needs_numba
-def test_search_overflow_regrows():
-    # capacity handling: ask the kernel for more solutions than its first buffer
-    plan = _prepare(4, (0, 1, 2, 3), False)
-    args = (plan.base, plan.orbit_a, plan.orbit_b, plan.quad_ptr, plan.quads, 2, 4)
-    out_small = np.empty((2, plan.base.size), dtype=np.int64)
-    n = _kernels._search_numba(*args, out_small)
-    full = _kernels.search_tensors_numba(*args)
-    assert n == len(full)
-    assert np.array_equal(out_small, full[:2])
