@@ -62,7 +62,7 @@ class FusionRule:
             if not np.all(tensor == np.round(tensor)):
                 raise StructuralError("tensor entries must be integers")
         tensor = tensor.astype(np.int64, copy=True)
-        if np.any(tensor < 0):
+        if tensor.size and tensor.min() < 0:
             raise StructuralError("tensor entries must be non-negative")
         tensor.flags.writeable = False
         object.__setattr__(self, "labels", labels)

@@ -20,6 +20,8 @@ __all__ = [
 ]
 
 DOUBLE_ORDER_CAP = 24
+# |G|**2 < 2**15 up to here, so every multiplicity of the double fits int16
+_INT16_ORDER_LIMIT = 181
 
 
 def pointed(group: FiniteGroup) -> FusionRule:
@@ -156,71 +158,88 @@ def drinfeld_double(
     """Fusion rule of the quantum double of a finite group.
 
     Simple labels are pairs (conjugacy class, irreducible character of the
-    representative's centralizer).  Each simple has a character on commuting
-    pairs ``(g, h)``; tensor products convolve these characters in the first
-    coordinate, and multiplicities come from the inner product over commuting
-    pairs.  Every raw multiplicity must sit within ``tolerance`` of a
-    non-negative integer, which cross-checks the character tables.
+    representative's centralizer), grouped by class.  Each simple has a
+    character ``theta[g, h]`` on commuting pairs, supported on the rows ``g``
+    of its class; class ``c`` keeps its block as a ``(k_c, |C_c|, n)`` array.
+    Tensor products convolve these characters in ``g``, and multiplicities are
+    the inner product over commuting pairs.  Because everything is invariant
+    under simultaneous conjugation, the inner product over ``g in C_c`` is
+    ``|C_c|`` times its value at the representative of ``c``, so for each
+    class pair ``(a, b)`` and each class ``c`` meeting ``C_a C_b`` the block
+    ``N[X in a, Y in b, Z in c]`` is one ``(k_a k_b, m) @ (m, k_c)`` product
+    over the ``m`` elements of the centralizer of that representative.
+
+    Every raw multiplicity must sit within ``tolerance`` of a non-negative
+    integer, which cross-checks the character tables.  The tensor is assembled
+    in int16: ``N[X, Y, Z] <= d_X d_Y <= |G|**2``, so groups of order above
+    181 are refused whatever ``max_order`` says.
     """
     n = group.order
-    if n > max_order:
-        raise CapacityError(f"group order {n} exceeds the cap {max_order}")
+    cap = min(max_order, _INT16_ORDER_LIMIT)
+    if n > cap:
+        raise CapacityError(f"group order {n} exceeds the cap {cap}")
     table = group.table
     inv = np.array(group.inverses)
-    commutes = table == table.T
+    classes = [np.array(cls) for cls in group.conjugacy_classes]
+    class_of = np.empty(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)  # position of each element within its class
+    for c, cls in enumerate(classes):
+        class_of[cls] = c
+        slot[cls] = np.arange(len(cls))
 
-    thetas = []
+    tables = {}  # centralizer element set -> (character table, class index per element)
+    centralizers = []
+    blocks = []
     names = []
-    for cls in group.conjugacy_classes:
-        rep = cls[0]
+    for cls in classes:
+        rep = int(cls[0])
         cz_elements = group.centralizer_elements(rep)
-        local = {e: i for i, e in enumerate(cz_elements)}
-        cz = group.subgroup(cz_elements)
-        ct = character_table(cz)
-        cz_class_of = np.empty(len(cz_elements), dtype=np.int64)
-        for i in range(len(cz_elements)):
-            cz_class_of[i] = ct.class_index_of(i)
-        transversal = {}
-        for g in cls:
-            transversal[g] = min(x for x in range(n) if group.conjugate(x, rep) == g)
-        for r in range(len(ct.degrees)):
-            theta = np.zeros((n, n), dtype=complex)
-            for g in cls:
-                x = transversal[g]
-                for h in range(n):
-                    if not commutes[g, h]:
-                        continue
-                    u = group.mul(group.mul(int(inv[x]), h), x)
-                    theta[g, h] = ct.table[r, cz_class_of[local[u]]]
-            thetas.append(theta)
-            names.append(f"({rep},{r})")
+        cz = np.array(cz_elements)
+        if cz_elements not in tables:
+            ct = character_table(group.subgroup(cz_elements))
+            cz_class = np.full(n, -1, dtype=np.int64)
+            for idx, members in enumerate(ct.classes):
+                cz_class[cz[list(members)]] = idx
+            tables[cz_elements] = ct, cz_class
+        ct, cz_class = tables[cz_elements]
+        # x[i] conjugates rep to cls[i]; u[i, h] = x^-1 h x lies in the
+        # centralizer exactly when h commutes with cls[i]
+        x = np.argmax(table[table[:, rep], inv][:, None] == cls[None, :], axis=0)
+        u = table[table[inv[x]], x[:, None]]
+        local = cz_class[u]
+        blocks.append(np.where(local >= 0, ct.table[:, local], 0))
+        centralizers.append(cz)
+        names.extend(f"({rep},{r})" for r in range(len(ct.degrees)))
 
-    rank = len(thetas)
-    theta_flat = np.array(thetas).reshape(rank, n * n)
-    gather = table[inv, :]  # gather[g1, g] = inv(g1) * g
-    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    span = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    tensor = np.zeros((offsets[-1],) * 3, dtype=np.int16)
     worst = 0.0
-    for X in range(rank):
-        for Y in range(rank):
-            conv = np.zeros((n, n), dtype=complex)
-            for h in range(n):
-                u = thetas[X][:, h]
-                v = thetas[Y][:, h]
-                conv[:, h] = u @ v[gather]
-            raw = theta_flat.conj() @ conv.reshape(-1) / n
-            rounded = np.round(raw.real).astype(np.int64)
-            err = float(np.abs(raw - rounded).max())
-            worst = max(worst, err)
-            if err > tolerance or rounded.min() < 0:
-                raise NumericalError(
-                    f"double multiplicity for pair ({X},{Y}) is {err:.3e} away from "
-                    "a non-negative integer; character table is suspect",
-                    residual=err,
-                )
-            tensor[X, Y, :] = rounded
+    for a, ca in enumerate(classes):
+        for b, cb in enumerate(classes):
+            for c in np.unique(class_of[table[np.ix_(ca, cb)]]):
+                rep = classes[c][0]
+                cz = centralizers[c]
+                g1 = ca[class_of[table[inv[ca], rep]] == b]  # g1 in C_a with g1^-1 rep in C_b
+                g2 = table[inv[g1], rep]
+                left = blocks[a][:, slot[g1][:, None], cz]
+                right = blocks[b][:, slot[g2][:, None], cz]
+                conv = np.einsum("xph,yph->xyh", left, right)
+                raw = conv.reshape(-1, len(cz)) @ blocks[c][:, 0, cz].conj().T
+                raw *= len(classes[c]) / n
+                rounded = np.round(raw.real)
+                err = float(np.abs(raw - rounded).max())
+                worst = max(worst, err)
+                if err > tolerance or rounded.min() < 0 or rounded.max() > n * n:
+                    raise NumericalError(
+                        f"double multiplicities for classes ({a},{b},{c}) are not integers in "
+                        f"[0, |G|**2] (residual {err:.3e}); character table is suspect",
+                        residual=err,
+                    )
+                tensor[span[a], span[b], span[c]] = rounded.reshape(len(left), len(right), -1)
 
     dual = []
-    for X in range(rank):
+    for X in range(len(names)):
         candidates = np.nonzero(tensor[X, :, 0] == 1)[0]
         if len(candidates) != 1:
             raise NumericalError(

@@ -80,6 +80,7 @@ def rule_from_dict(data: dict) -> FusionRule:
         _require(0 <= i < rank and 0 <= j < rank and 0 <= k < rank,
                  f"fusion record {record!r} has indices out of range")
         _require(mult >= 1, f"fusion record {record!r} must have multiplicity >= 1")
+        _require(mult <= 2**63 - 1, f"fusion record {record!r} has a multiplicity above 2**63 - 1")
         _require((i, j, k) not in seen, f"duplicate fusion record for ({i},{j},{k})")
         seen.add((i, j, k))
         tensor[i, j, k] = mult

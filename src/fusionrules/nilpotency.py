@@ -50,42 +50,39 @@ class LabelSet:
 
 def is_closed(rule: FusionRule, members) -> bool:
     """Whether ``members`` is a sub-fusion rule of ``rule``."""
-    s = set(members)
-    if 0 not in s:
+    idx = np.array(sorted({int(i) for i in members}), dtype=np.int64)
+    if idx.size == 0 or idx[0] != 0 or idx[-1] >= rule.rank:
         return False
-    if any(rule.dual[i] not in s for i in s):
+    inside = np.zeros(rule.rank, dtype=bool)
+    inside[idx] = True
+    if not inside[np.array(rule.dual)[idx]].all():
         return False
-    for i in s:
-        for j in s:
-            if any(int(k) not in s for k in np.nonzero(rule.tensor[i, j])[0]):
-                return False
-    return True
+    return not any(rule.tensor[i][idx][:, ~inside].any() for i in idx)
 
 
 def closure(rule: FusionRule, seed=()) -> LabelSet:
     """Smallest sub-fusion rule containing ``seed`` (plus the vacuum).
 
-    Worklist saturation under duals and fusion outcomes, processed in sorted
-    order so the result (and any traversal of it) is reproducible.
+    Saturates a membership mask: each label, once processed, adds its dual and
+    every outcome of its products with the current members in either order.
+    A pair is covered when the later of its two labels is processed.
     """
-    members = {0}
     pending = sorted({int(i) for i in seed} | {0})
     for i in pending:
         if not 0 <= i < rule.rank:
             raise StructuralError(f"seed label {i} out of range for rank {rule.rank}")
-    members.update(pending)
+    inside = np.zeros(rule.rank, dtype=bool)
+    inside[pending] = True
+    tensor = rule.tensor
     while pending:
-        i = pending.pop(0)
-        grown = {rule.dual[i]}
-        for j in sorted(members):
-            grown.update(int(k) for k in np.nonzero(rule.tensor[i, j])[0])
-            grown.update(int(k) for k in np.nonzero(rule.tensor[j, i])[0])
-        for k in sorted(grown):
-            if k not in members:
-                members.add(k)
-                pending.append(k)
-        pending.sort()
-    return LabelSet(members=tuple(sorted(members)))
+        i = pending.pop()
+        idx = np.flatnonzero(inside)
+        grown = tensor[i, idx].any(0) | tensor[idx, i].any(0)
+        grown[rule.dual[i]] = True
+        fresh = np.flatnonzero(grown & ~inside)
+        inside[fresh] = True
+        pending.extend(fresh.tolist())
+    return LabelSet(members=tuple(np.flatnonzero(inside).tolist()))
 
 
 def adjoint_subrule(rule: FusionRule, support: LabelSet | None = None) -> LabelSet:
@@ -100,9 +97,8 @@ def adjoint_subrule(rule: FusionRule, support: LabelSet | None = None) -> LabelS
         support = LabelSet(members=tuple(range(rule.rank)))
     elif not is_closed(rule, support.members):
         raise StructuralError(f"support {support.members} is not a sub-fusion rule")
-    seeds: set[int] = set()
-    for i in support:
-        seeds.update(int(k) for k in np.nonzero(rule.tensor[i, rule.dual[i]])[0])
+    idx = np.array(support.members, dtype=np.int64)
+    seeds = np.flatnonzero(rule.tensor[idx, np.array(rule.dual)[idx]].any(0))
     result = closure(rule, seeds)
     assert set(result.members) <= set(support.members)
     return result

@@ -241,3 +241,22 @@ def commuting_pair_orbit_count(group) -> int:
         total += sum(1 for g in cz for h in cz if table[g, h] == table[h, g])
     assert total % n == 0
     return total // n
+
+
+def closure_by_fixpoint(rule: FusionRule, seed) -> set:
+    """Smallest label set holding ``seed`` and the vacuum that is closed under
+    duals and under every outcome ``k`` with ``N[i, j, k] > 0``: sweep all
+    pairs of members until a sweep adds nothing."""
+    N = rule.tensor.tolist()
+    members = set(seed) | {0}
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(members):
+            grown = {rule.dual[i]}
+            for j in sorted(members):
+                grown.update(k for k in range(rule.rank) if N[i][j][k] > 0)
+            if not grown <= members:
+                members |= grown
+                changed = True
+    return members

@@ -46,6 +46,16 @@ class TestValidateCommand:
         assert len(err.splitlines()) == 1
         assert "2**53" in err and "Traceback" not in err
 
+    def test_multiplicity_beyond_int64_exit_two(self, tmp_path, capsys):
+        doc = {"rank": 2, "dual": [0, 1],
+               "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2**70]]}
+        path = tmp_path / "overflow.rule"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "2**63 - 1" in err and "Traceback" not in err
+
     def test_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "nj.rule"
         path.write_text("not json", encoding="utf-8")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from fusionrules import (
     UnknownFixtureError,
     adjoint_subrule,
     builtin_group,
+    builtin_group_names,
     central_series,
     drinfeld_double,
     fixture_names,
@@ -20,6 +24,40 @@ from fusionrules import (
 from fusionrules.groups import cyclic, symmetric
 
 from oracles import commuting_pair_orbit_count, so8_level2_tensor, verlinde_su2k
+
+# sha256 of json([labels, dual]) + tensor bytes for the double of every
+# built-in group and of S4, recorded from the per-pair convolution that the
+# class-blocked construction replaced
+DOUBLE_HASHES = {
+    "a4": "c0f4bd796df00db0234a80500c31e91f4cbdebfbccffdfbc0e144ed7560fbed8",
+    "d4": "6ccbcabe0235bc2cd4319e54c2cc3ca8b15e2ccae5607438cd4b902721ceecf6",
+    "d5": "1db79fbe9b01134691e13aca659e90f70b74fea91fb73da81ad1b42cde807160",
+    "q8": "5c828ab130c6c806cea3d0187a63165051265634624e435a4ceef645b37702ee",
+    "s3": "7a8d82edbe93ce89a50ec7c200926bac7587ce3b5ec30aa032e1f84ad077b317",
+    "s4": "b1d5ab3578673b27a3a9bfafe0ec945f3f14bb132f31ba78a44bcac6a5800f5e",
+    "z1": "8172e1d2ff24f747d9d12129408348f0c1a9ddcb697b6c12880d8aad06860f72",
+    "z10": "5caac3f65fc88ddff00c788ca2b24af428bffc41ec17a3804c9c6d26fd4940f7",
+    "z11": "d8c691145bc4f164f4c56a971bdf9584fc3bbf12831e400b40a21e1f1acc6033",
+    "z12": "de94356a64da5a2816e5b6bea3a45287e67d17338245674bd0de2919cd3cc122",
+    "z13": "31592c6c78e504875aadbd0f5726d3ca5955a16b7c0399476c816a7a3f6547d0",
+    "z14": "711c16576e3ac9a8f799bf178cba46683fc5912869e2d2a2ff82d90969e4cd23",
+    "z15": "3c762b3eb3ff133b4cdd6363d6389259c0c5328fed821f6cbd42e4f731a8956d",
+    "z16": "7f5d3a525d3becc495cdd5f133cff2122c919891a401d39e35e3a3b2012c0b9a",
+    "z2": "e52c542be782e6d092ce0b5aa95e1b00aa74c133da65b45cb48eb9cba9740e68",
+    "z2xz2": "04dbbdd18e48f11c1e61ccea2a948b541d35812c6dc3a701353f451480a3faff",
+    "z3": "559cf091507d4d432f698332b81fcecbdbaf34260e01b7b9ce12fb28c940eb3c",
+    "z4": "179773fa740ab030b840f5370a45bcaa673e2e7dd700547a41a5517cfee9f44b",
+    "z5": "0fa39cdc105a89c9739dae7827e3cfc4dbed5d807a7ecc94e95692c3ec847655",
+    "z6": "54aacfb195b529afc16b05104ea98dfe768ed0833b115a4cab16a7c34bec9702",
+    "z7": "eb2d4717f4e1db5faade6942e0233edba520bef7efa26c890ecd4079809690dd",
+    "z8": "dce7e6b7355159d113ce976265c2d59a085ca925606834fbd5b34f349a6add02",
+    "z9": "80a539068f20599be5a15aabe37a12a138f7a4865e68527f129ed5ab9ba9d4df",
+}
+
+
+def _double_hash(rule) -> str:
+    head = json.dumps([list(rule.labels), list(rule.dual)]).encode()
+    return hashlib.sha256(head + rule.tensor.tobytes()).hexdigest()
 
 
 class TestPointed:
@@ -184,3 +222,20 @@ class TestDrinfeldDouble:
         dd = drinfeld_double(symmetric(4))
         assert abs(fp_dimensions(dd).global_dim - 576.0) <= 1e-6
         assert not is_acyclic(dd)
+
+    def test_frozen_hashes(self):
+        groups = {name: builtin_group(name) for name in builtin_group_names()}
+        groups["s4"] = symmetric(4)
+        assert set(groups) == set(DOUBLE_HASHES)
+        for name, group in groups.items():
+            assert _double_hash(drinfeld_double(group)) == DOUBLE_HASHES[name], name
+
+    def test_int16_order_limit_ignores_max_order(self, monkeypatch):
+        import fusionrules.generators as generators
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("a character table was built past the order limit")
+
+        monkeypatch.setattr(generators, "character_table", no_tables)
+        with pytest.raises(CapacityError, match="181"):
+            drinfeld_double(cyclic(182), max_order=1000)

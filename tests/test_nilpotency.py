@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionrules import (
+    FusionRule,
     LabelSet,
     StructuralError,
     adjoint_subrule,
@@ -14,6 +18,8 @@ from fusionrules import (
 )
 from fusionrules.groups import builtin_group
 from fusionrules.nilpotency import is_closed
+
+from oracles import closure_by_fixpoint
 
 
 class TestClosure:
@@ -167,3 +173,53 @@ class TestRestrict:
                 continue
             for step in central_series(rule).chain:
                 assert validate(restrict(rule, step)).valid, name
+
+
+def chain_by_fixpoint(rule) -> list:
+    """The descending central series from the fixpoint closure oracle."""
+    chain = [set(range(rule.rank))]
+    while len(chain[-1]) > 1:
+        seeds = {k for i in chain[-1] for k in range(rule.rank) if rule.tensor[i, rule.dual[i], k]}
+        chain.append(closure_by_fixpoint(rule, seeds))
+        if chain[-1] == chain[-2]:
+            break
+    return [tuple(sorted(s)) for s in chain]
+
+
+def assert_matches_fixpoint(rule, seeds, name=None):
+    for seed in seeds:
+        expected = closure_by_fixpoint(rule, seed)
+        assert closure(rule, seed).members == tuple(sorted(expected)), (name, seed)
+        for subset in (expected, expected - {max(expected)}, set(seed)):
+            closed = closure_by_fixpoint(rule, subset) == subset
+            assert is_closed(rule, subset) == closed, (name, subset)
+    assert [s.members for s in central_series(rule).chain] == chain_by_fixpoint(rule), name
+
+
+@st.composite
+def involution_rules(draw):
+    r = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(r)))
+    swaps = draw(st.integers(0, r // 2))
+    dual = list(range(r))
+    for t in range(swaps):
+        a, b = order[2 * t], order[2 * t + 1]
+        dual[a], dual[b] = b, a
+    flat = draw(st.lists(st.integers(0, 2), min_size=r**3, max_size=r**3))
+    tensor = np.array(flat, dtype=np.int64).reshape(r, r, r)
+    seed = draw(st.sets(st.integers(0, r - 1), max_size=r))
+    return FusionRule(labels=tuple(str(x) for x in range(r)), dual=dual, tensor=tensor), seed
+
+
+class TestAgainstFixpointOracle:
+    """closure, is_closed and central_series against plain set saturation."""
+
+    def test_corpus(self, corpus):
+        for name, rule in corpus.items():
+            assert_matches_fixpoint(rule, [set()] + [{i} for i in range(rule.rank)], name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(involution_rules())
+    def test_random_tensors(self, drawn):
+        rule, seed = drawn
+        assert_matches_fixpoint(rule, [seed])
