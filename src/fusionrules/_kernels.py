@@ -1,9 +1,9 @@
 """Hot numeric kernels, one interpreted implementation each.
 
 The two kernels here dominate the runtime of large surveys and analyses: the
-power-iteration spectral radius used for Frobenius-Perron dimensions, and the
-backtracking search that exhaustively enumerates fusion tensors.  The
-associativity defect lives in :mod:`fusionrules.core`, next to ``validate``.
+power iteration behind the Frobenius-Perron dimensions, and the backtracking
+search that exhaustively enumerates fusion tensors.  The associativity defect
+lives in :mod:`fusionrules.core`, next to ``validate``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ USING_NUMBA = False
 # --- spectral radius via power iteration ------------------------------------
 
 def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
-    """Spectral radius of a non-negative matrix by power iteration.
+    """Spectral radius and Perron vector of a non-negative matrix by power iteration.
 
     Iterates on ``mat + I`` (the shift keeps periodic non-negative matrices,
     e.g. bipartite fusion matrices, converging) from the all-ones vector and
@@ -26,7 +26,8 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
     ``|(mat + I) v - est v|`` drops to ``threshold``; a residual test is needed
     because successive radius estimates can momentarily agree while still far
     from the limit when the subdominant eigenvalues are complex.  Returns
-    ``(radius, residual, iterations)``; converged iff ``residual <= threshold``.
+    ``(radius, residual, iterations, vector)`` with ``vector`` the last
+    unit-norm iterate; converged iff ``residual <= threshold``.
     """
     n = mat.shape[0]
     v = np.ones(n) / np.sqrt(n)
@@ -39,8 +40,8 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
         resid = np.sqrt(diff.dot(diff))
         v = w / est
         if resid <= threshold:
-            return est - 1.0, resid, it
-    return est - 1.0, resid, max_iter
+            return est - 1.0, resid, it, v
+    return est - 1.0, resid, max_iter, v
 
 
 # --- exhaustive tensor search -------------------------------------------------

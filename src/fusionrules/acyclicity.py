@@ -4,9 +4,10 @@ acyclic-vs-nilpotent cross-check.
 The adjoint graph has one vertex per dual pair ``{i, dual(i)}`` and an edge
 from a non-vacuum pair to every pair appearing in ``x (dual x)``.  A fusion
 rule is acyclic when this graph has no directed cycle; self-loops count.
-Cycle detection runs on the equivalent label-level digraph (node per non-vacuum
-label, edge ``i -> j`` iff ``N[i, dual(i), j] > 0``), whose cycles correspond
-one-to-one with pair-graph cycles because targets are dual-symmetric.
+Both the pair graph and cycle detection use one label adjacency (edge
+``i -> j`` iff ``N[i, dual(i), j] > 0``, the vacuum a sink); label-level cycles
+correspond one-to-one with pair-graph cycles because targets are
+dual-symmetric.
 """
 
 from __future__ import annotations
@@ -76,16 +77,12 @@ class CycleWitness:
         return True
 
 
-def _pairs(rule: FusionRule) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for i in range(rule.rank):
-        if i in seen:
-            continue
-        pair = tuple(sorted({i, rule.dual[i]}))
-        seen.update(pair)
-        out.append(pair)
-    return out
+def _adjoint_targets(rule: FusionRule) -> list[list[int]]:
+    """Label adjacency of the adjoint graph: ``i -> j`` iff ``j`` occurs in
+    ``x_i (dual x_i)``, i.e. ``N[i, dual(i), j] > 0``, with the vacuum as a
+    target.  The vacuum itself has no outgoing edges."""
+    rows = rule.tensor[np.arange(rule.rank), list(rule.dual)]
+    return [[]] + [np.flatnonzero(row).tolist() for row in rows[1:]]
 
 
 def adjoint_graph(rule: FusionRule) -> AdjointGraph:
@@ -96,11 +93,9 @@ def adjoint_graph(rule: FusionRule) -> AdjointGraph:
     the stored weight comes from the smaller label's orientation when that one
     is nonzero.
     """
-    pairs = _pairs(rule)
-    where = {}
-    for n, pair in enumerate(pairs):
-        for i in pair:
-            where[i] = n
+    pairs = [tuple(sorted({i, d})) for i, d in enumerate(rule.dual) if i <= d]
+    where = {i: n for n, pair in enumerate(pairs) for i in pair}
+    adj = _adjoint_targets(rule)
     edges = []
     for n, pair in enumerate(pairs):
         if 0 in pair:
@@ -108,22 +103,13 @@ def adjoint_graph(rule: FusionRule) -> AdjointGraph:
         i = pair[0]
         forward = rule.tensor[i, rule.dual[i]]
         backward = rule.tensor[rule.dual[i], i]
-        targets = sorted({where[int(k)] for k in np.nonzero(forward + backward)[0]})
+        targets = sorted({where[k] for k in adj[i] + adj[rule.dual[i]]})
         for m in targets:
             k = pairs[m][0]
             weight = int(forward[k]) if forward[k] > 0 else int(backward[k])
             edges.append((n, m, weight))
     edges.sort()
     return AdjointGraph(vertices=tuple(pairs), edges=tuple(edges))
-
-
-def _label_digraph(rule: FusionRule) -> dict[int, list[int]]:
-    """Non-vacuum label digraph: ``i -> j`` iff ``j`` occurs in ``x_i (dual x_i)``."""
-    adj = {}
-    for i in range(1, rule.rank):
-        row = rule.tensor[i, rule.dual[i]]
-        adj[i] = [int(j) for j in np.nonzero(row)[0] if j != 0]
-    return adj
 
 
 def find_cycle(rule: FusionRule) -> CycleWitness | None:
@@ -134,9 +120,9 @@ def find_cycle(rule: FusionRule) -> CycleWitness | None:
     starting label.  A search only looks for cycles shorter than the best one
     so far, since a later start cannot win a tie.
     """
-    adj = _label_digraph(rule)
+    adj = _adjoint_targets(rule)
     best: list[int] | None = None  # start -> ... -> last label before start
-    for start in sorted(adj):
+    for start in range(1, rule.rank):
         parent: dict[int, int] = {}
         found = None
         queue = deque([start])

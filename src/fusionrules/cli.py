@@ -192,10 +192,6 @@ def cmd_enumerate(args) -> int:
         return 0
 
     result = survey(spec, tolerance=args.tolerance)
-    both_counts = None
-    if args.bare_axioms:
-        default_spec = EnumSpec(rank=args.rank, max_mult=args.max_mult, limit=args.limit)
-        both_counts = (result.total, sum(1 for _ in enumerate_rules(default_spec)))
     if args.json:
         doc = {
             "total": result.total,
@@ -205,13 +201,13 @@ def cmd_enumerate(args) -> int:
             "weak_integrality_failures": [rule_to_dict(r) for r in result.weak_integrality_failures],
             "class_histogram": {str(k): v for k, v in sorted(result.class_histogram.items())},
         }
-        if both_counts is not None:
-            doc["total_with_vacuum_uniqueness"] = both_counts[1]
+        if args.bare_axioms:
+            doc["total_with_vacuum_uniqueness"] = result.unique_vacuum_count
         print(json.dumps(doc, indent=2))
     else:
-        if both_counts is not None:
-            print(f"total (bare axioms): {both_counts[0]}")
-            print(f"total (unique vacuum channel imposed): {both_counts[1]}")
+        if args.bare_axioms:
+            print(f"total (bare axioms): {result.total}")
+            print(f"total (unique vacuum channel imposed): {result.unique_vacuum_count}")
         else:
             print(f"total: {result.total}")
         print(f"acyclic: {result.acyclic_count}")
@@ -260,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--survey", action="store_true", help="aggregate theorem/integrality checks")
     p.add_argument("--bare-axioms", action="store_true",
-                   help="drop the imposed vacuum-channel uniqueness axiom and report both censuses")
+                   help="drop the imposed vacuum-channel uniqueness axiom and report both "
+                        "censuses; with --limit both count only the surveyed rules")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
@@ -276,6 +273,9 @@ def main(argv=None) -> int:
         return PARSE_ERROR
     except (FusionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return PARSE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return PARSE_ERROR
 
 

@@ -277,37 +277,44 @@ def _near_positive_integer(x: float, tolerance: float) -> bool:
 def fp_dimensions(rule: FusionRule, tolerance: float = 1e-6) -> FPDimData:
     """Per-label spectral radii of the fusion matrices and the global dimension.
 
-    Power iteration from the all-ones vector, convergence threshold
-    ``tolerance * 1e-2``, iteration cap ``10**6``.  The returned dims satisfy
-    the multiplicativity residual bound
-    ``|d_i d_j - sum_k N[i,j,k] d_k| <= tolerance * (1 + d_i d_j)``.
+    FP dimensions are the unique positive character of a based ring, so one
+    Perron vector ``v`` of ``sum_i N_i`` gives them all: power iteration from
+    the all-ones vector (threshold ``tolerance * 1e-2``, cap ``10**6``), scaled
+    to ``d = v / v[0]``.  Each dim is the Rayleigh quotient ``(N_i d).d / d.d``.
+    The multiplicativity residual bound
+    ``|dims_i d_j - sum_k N[i,j,k] d_k| <= tolerance * (1 + dims_i) * d_j``
+    must hold; by the Collatz-Wielandt bounds it makes each dim its matrix's
+    spectral radius to within ``tolerance * (1 + dims_i)``.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     threshold = tolerance * 1e-2
-    dims = []
-    for i in range(rule.rank):
-        mat = rule.tensor[i].astype(np.float64)
-        radius, resid, _its = _kernels.power_radius(mat, threshold, POWER_ITERATION_CAP)
-        if resid > threshold:
-            raise NumericalError(
-                f"power iteration did not converge for label {i} "
-                f"(eigen-residual {resid:.3e})",
-                residual=float(resid),
-            )
-        dims.append(float(radius))
-    d = np.array(dims)
-    residual = np.abs(np.outer(d, d) - np.einsum("ijk,k->ij", rule.tensor, d))
-    bound = tolerance * (1.0 + np.outer(d, d))
+    N = rule.tensor
+    _radius, resid, _its, v = _kernels.power_radius(
+        N.sum(axis=0).astype(np.float64), threshold, POWER_ITERATION_CAP
+    )
+    with np.errstate(all="ignore"):
+        d = v / v[0]
+    if resid > threshold or not np.all(np.isfinite(d) & (d > 0)):
+        raise NumericalError(
+            f"power iteration on sum_i N_i found no positive Perron vector "
+            f"(eigen-residual {resid:.3e})",
+            residual=float(resid),
+        )
+    T = np.einsum("ijk,k->ij", N, d)
+    dims = T.dot(d) / d.dot(d)
+    residual = np.abs(np.outer(dims, d) - T)
+    bound = tolerance * np.outer(1.0 + dims, d)
     if np.any(residual > bound):
         worst = float((residual / bound).max() * tolerance)
         raise NumericalError(
             "fusion-matrix spectral radii fail the multiplicativity residual bound",
             residual=worst,
         )
-    global_dim = float(np.sum(d * d))
+    global_dim = float(np.sum(dims * dims))
+    dims = tuple(dims.tolist())
     return FPDimData(
-        dims=tuple(dims),
+        dims=dims,
         global_dim=global_dim,
         tolerance=tolerance,
         is_integral=all(_near_positive_integer(x, tolerance) for x in dims),

@@ -209,10 +209,13 @@ class TheoremSurvey:
     ``disagreements`` (rules where acyclicity and nilpotency differ) and
     ``weak_integrality_failures`` (acyclic rules with a non-integer global
     dimension) must both be empty; ``class_histogram`` counts nilpotent rules
-    by nilpotency class.
+    by nilpotency class.  ``unique_vacuum_count`` counts the rules with a
+    unique vacuum channel (``N[i,j,0] == 0`` for ``j != dual(i)``); it equals
+    ``total`` unless the spec has ``bare_axioms``.
     """
 
     total: int
+    unique_vacuum_count: int
     acyclic_count: int
     nilpotent_count: int
     disagreements: tuple[FusionRule, ...]
@@ -227,6 +230,7 @@ class TheoremSurvey:
 def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
     """Run both decision procedures and the integrality check on every rule."""
     total = 0
+    unique_vacuum_count = 0
     acyclic_count = 0
     nilpotent_count = 0
     disagreements = []
@@ -234,6 +238,8 @@ def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
     histogram: dict[int, int] = {}
     for rule in enumerate_rules(spec):
         total += 1
+        # N[i, dual(i), 0] == 1 is forced, so a unique channel leaves rank nonzeros
+        unique_vacuum_count += bool(np.count_nonzero(rule.tensor[:, :, 0]) == rule.rank)
         acyclic = is_acyclic(rule)
         series = central_series(rule)
         acyclic_count += acyclic
@@ -252,6 +258,7 @@ def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
             failures.append(rule)
     return TheoremSurvey(
         total=total,
+        unique_vacuum_count=unique_vacuum_count,
         acyclic_count=acyclic_count,
         nilpotent_count=nilpotent_count,
         disagreements=tuple(disagreements),

@@ -26,13 +26,8 @@ __all__ = [
 
 
 def rule_to_dict(rule: FusionRule) -> dict:
-    entries = [
-        [int(i), int(j), int(k), int(rule.tensor[i, j, k])]
-        for i in range(rule.rank)
-        for j in range(rule.rank)
-        for k in range(rule.rank)
-        if rule.tensor[i, j, k]
-    ]
+    idx = np.argwhere(rule.tensor)  # row-major, the order of the records
+    entries = np.column_stack([idx, rule.tensor[tuple(idx.T)]]).tolist()
     return {
         "rank": rule.rank,
         "labels": list(rule.labels),

@@ -1,12 +1,27 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from fusionrules import named_fixture, parse_rule, pointed, su2k
+from fusionrules import (
+    EnumSpec,
+    _kernels,
+    enumerate_rules,
+    named_fixture,
+    parse_rule,
+    pointed,
+    su2k,
+    validate,
+)
 from fusionrules.cli import main
+from fusionrules.explorer import _involutions
 from fusionrules.groups import builtin_group
-from fusionrules.io import dump_group, dump_rule, parse_group
+from fusionrules.io import dot_graph, dump_group, dump_rule, parse_group
+
+# sha256 over the sorted conftest corpus of name + "\n" + DOT text, recorded
+# from the adjoint graph built before it shared its adjacency with find_cycle
+CORPUS_DOT_SHA256 = "5c0035049f9f2dfd40a6163e232dd5795b71560939a8a3035c879ddfcb6d17c3"
 
 
 @pytest.fixture()
@@ -55,6 +70,16 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "2**63 - 1" in err and "Traceback" not in err
+
+    def test_memory_error_exit_two(self, tmp_path, capsys):
+        # a rank-100000 tensor needs 7.11 PiB, beyond any address space
+        doc = {"rank": 100000, "dual": list(range(100000)), "fusion": []}
+        path = tmp_path / "vast.rule"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "memory" in err and "Traceback" not in err
 
     def test_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "nj.rule"
@@ -144,6 +169,12 @@ class TestGraphCommand:
         out_file = tmp_path / "g.dot"
         assert main(["graph", ising_path, "--dot", str(out_file)]) == 0
         assert out_file.read_text(encoding="utf-8") == first
+
+    def test_corpus_dot_bytes_frozen(self, corpus):
+        digest = hashlib.sha256()
+        for name in sorted(corpus):
+            digest.update(name.encode() + b"\n" + dot_graph(corpus[name]).encode())
+        assert digest.hexdigest() == CORPUS_DOT_SHA256
 
     def test_unwritable_output_exit_two(self, ising_path, tmp_path):
         target = tmp_path / "missing-dir" / "g.dot"
@@ -262,6 +293,33 @@ class TestEnumerateCommand:
         out = capsys.readouterr().out
         assert "bare axioms): 9" in out
         assert "channel imposed): 7" in out
+
+    def test_bare_axioms_census_runs_one_search_per_dual_map(self, monkeypatch):
+        calls = []
+        search = _kernels.search_tensors
+
+        def counting_search(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(_kernels, "search_tensors", counting_search)
+        assert main(["enumerate", "--rank", "4", "--max-mult", "1", "--survey",
+                     "--bare-axioms"]) == 0
+        assert len(calls) == len(_involutions(4)) == 4
+
+    def test_bare_axioms_limit_counts_surveyed_rules(self, capsys):
+        surveyed = list(enumerate_rules(EnumSpec(rank=3, max_mult=1, limit=6, bare_axioms=True)))
+        imposed = sum(validate(rule).valid for rule in surveyed)
+        assert imposed == 5
+        assert main(["enumerate", "--rank", "3", "--max-mult", "1", "--survey",
+                     "--bare-axioms", "--limit", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "bare axioms): 6" in out
+        assert f"channel imposed): {imposed}" in out
+        assert main(["enumerate", "--rank", "3", "--max-mult", "1", "--survey",
+                     "--bare-axioms", "--limit", "6", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["total"], doc["total_with_vacuum_uniqueness"]) == (6, imposed)
 
     def test_out_of_bounds_exit_two(self):
         assert main(["enumerate", "--rank", "9", "--survey"]) == 2

@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 
 from fusionrules import (
     CapacityError,
+    EnumSpec,
     FusionRule,
+    NumericalError,
     StructuralError,
+    drinfeld_double,
+    enumerate_rules,
     fp_dimensions,
     is_acyclic,
     named_fixture,
@@ -241,13 +245,29 @@ class TestFPDimensions:
         assert all(abs(x - y) <= 2e-6 for x, y in zip(a.dims, b.dims))
 
     def test_matches_dense_eigensolver(self, corpus):
-        for name, rule in corpus.items():
-            if rule.rank > 25:
-                continue
+        rules = dict(corpus)
+        rules.update({f"r4m3:{n}": r for n, r in enumerate(enumerate_rules(EnumSpec(4, 3)))})
+        rules.update({f"double:z{n}": drinfeld_double(builtin_group(f"z{n}")) for n in range(7, 13)})
+        for name, rule in rules.items():
             dims = fp_dimensions(rule)
             for i in range(rule.rank):
                 radius = max(abs(np.linalg.eigvals(rule.tensor[i].astype(float))))
-                assert abs(dims.dims[i] - radius) < 1e-7, name
+                assert abs(dims.dims[i] - radius) < 1e-9, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_tensors())
+    def test_random_tensors_give_spectral_radii_or_raise(self, t):
+        r = t.shape[0]
+        rule = FusionRule(labels=tuple(str(x) for x in range(r)), dual=tuple(range(r)), tensor=t)
+        try:
+            dims = fp_dimensions(rule)
+        except NumericalError:
+            return
+        for i, dim in enumerate(dims.dims):
+            radius = max(abs(np.linalg.eigvals(t[i].astype(float))))
+            # the residual check bounds the error by 1e-6 * (1 + dim); the
+            # slack covers the eigensolver on defective matrices
+            assert np.isfinite(dim) and abs(dim - radius) <= 1e-6 * (1 + dim) + 1e-7
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):

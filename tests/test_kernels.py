@@ -22,7 +22,7 @@ def test_power_radius_matches_eigensolver():
     for rule in (su2k(7), named_fixture("so8_2"), named_fixture("fibonacci")):
         for i in range(rule.rank):
             mat = rule.tensor[i].astype(np.float64)
-            radius, resid, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
+            radius, resid, _, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
             assert resid <= 1e-8
             expected = max(abs(np.linalg.eigvals(mat)))
             assert abs(radius - expected) < 1e-7
@@ -31,6 +31,6 @@ def test_power_radius_matches_eigensolver():
 def test_power_radius_handles_periodic_matrices():
     # the spin-1/2 fusion matrix is bipartite; the shift keeps iteration stable
     mat = su2k(9).tensor[1].astype(np.float64)
-    radius, resid, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
+    radius, resid, _, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
     assert resid <= 1e-8
     assert abs(radius - 2 * np.cos(np.pi / 11)) < 1e-7
