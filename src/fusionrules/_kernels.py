@@ -8,6 +8,9 @@ lives in :mod:`fusionrules.core`, next to ``validate``.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter, mul
+
 import numpy as np
 
 # There is no compiled backend.  The constant stays because the benchmark
@@ -54,53 +57,80 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
 #                           both cells
 #   quad_ptr  int64[T+1]    CSR offsets into `quads`: the associativity
 #                           quadruples that become fully determined once orbit
-#                           t is assigned
+#                           t is assigned (the explorer keeps one quadruple of
+#                           each dual-mirror pair, whose equations coincide on
+#                           dual-symmetric tensors)
 #   quads     int64[Q, 4]   the (i, j, k, l) of each quadruple
 #
 # The search assigns orbits in order with values 0..max_val and prunes on the
-# first violated quadruple.  Solutions are complete flattened tensors.  The
-# arrays are converted to Python lists first: indexing lists is much faster
-# than indexing ndarrays element by element in the interpreter.
+# first violated quadruple.  Solutions are complete flattened tensors.
+#
+# Each quadruple is compiled once per call.  Its left side pairs the cells
+# (i, j, m) and (m, k, l), its right side (j, k, m) and (i, m, l).  A term with
+# a cell forced to 0 is dropped; forced cells are never written, because the
+# orbits hold only the free cells.  Each cell is read through its stand-in (its
+# orbit's representative, or the first forced cell of equal value), so a term
+# on both sides cancels, and a quadruple with nothing left never prunes and is
+# dropped.  The first and second factors of each side become one
+# ``operator.itemgetter`` each over the tensor (a Python list), and a check is
+# ``sum(map(mul, ...))`` per side, evaluated by C-level builtins.  An
+# itemgetter of one index returns a scalar, not a tuple, so shorter sides are
+# padded with an always-zero cell appended to the tensor.
 
 
 def search_tensors(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
     """Every solution of the search as an int64 array of shape ``(n, rank**3)``."""
-    T = len(orbit_a)
     r = rank
-    tensor = list(base)
-    oa = list(orbit_a)
-    ob = list(orbit_b)
-    ptr = list(quad_ptr)
-    qd = [tuple(row) for row in quads]
-    vals = [-1] * T
+    oa = orbit_a.tolist()
+    ob = orbit_b.tolist()
+    tensor = base.tolist()
+    cells = len(tensor)
+    tensor.append(0)
+    stand_in = [c if x < 0 else tensor.index(x) for c, x in enumerate(tensor)]
+    for a, b in zip(oa, ob):
+        stand_in[b] = a
+
+    def side(pairs):
+        return Counter(
+            tuple(sorted((stand_in[a], stand_in[b]))) for a, b in pairs if tensor[a] and tensor[b]
+        )
+
+    def getters(terms):
+        pairs = list(terms.elements())
+        pairs += [(cells, cells)] * (2 - len(pairs))
+        first, second = zip(*pairs)
+        return itemgetter(*first), itemgetter(*second)
+
+    checks = []
+    for t in range(len(oa)):
+        group = []
+        for i, j, k, l in quads[quad_ptr[t]:quad_ptr[t + 1]].tolist():
+            lhs = side(((i * r + j) * r + m, (m * r + k) * r + l) for m in range(r))
+            rhs = side(((j * r + k) * r + m, (i * r + m) * r + l) for m in range(r))
+            if lhs != rhs:
+                group.append(getters(lhs - rhs) + getters(rhs - lhs))
+        checks.append(group)
+
+    last = len(oa) - 1
+    vals = [-1] * len(oa)
     solutions = []
     t = 0
     while t >= 0:
         v = vals[t] + 1
         if v > max_val:
             vals[t] = -1
-            tensor[oa[t]] = -1
-            tensor[ob[t]] = -1
             t -= 1
             continue
         vals[t] = v
-        tensor[oa[t]] = v
-        tensor[ob[t]] = v
-        ok = True
-        for q in range(ptr[t], ptr[t + 1]):
-            i, j, k, l = qd[q]
-            s = 0
-            for m in range(r):
-                s += tensor[(i * r + j) * r + m] * tensor[(m * r + k) * r + l]
-                s -= tensor[(j * r + k) * r + m] * tensor[(i * r + m) * r + l]
-            if s != 0:
-                ok = False
+        tensor[oa[t]] = tensor[ob[t]] = v
+        for ga, gb, gc, gd in checks[t]:
+            if sum(map(mul, ga(tensor), gb(tensor))) != sum(map(mul, gc(tensor), gd(tensor))):
                 break
-        if ok:
-            if t == T - 1:
-                solutions.append(tuple(tensor))
+        else:
+            if t == last:
+                solutions.append(tensor[:cells])
             else:
                 t += 1
     if not solutions:
-        return np.empty((0, base.size), dtype=np.int64)
+        return np.empty((0, cells), dtype=np.int64)
     return np.array(solutions, dtype=np.int64)

@@ -301,16 +301,19 @@ def fp_dimensions(rule: FusionRule, tolerance: float = 1e-6) -> FPDimData:
             f"(eigen-residual {resid:.3e})",
             residual=float(resid),
         )
-    T = np.einsum("ijk,k->ij", N, d)
-    dims = T.dot(d) / d.dot(d)
-    residual = np.abs(np.outer(dims, d) - T)
-    bound = tolerance * np.outer(1.0 + dims, d)
-    if np.any(residual > bound):
-        worst = float((residual / bound).max() * tolerance)
-        raise NumericalError(
-            "fusion-matrix spectral radii fail the multiplicativity residual bound",
-            residual=worst,
-        )
+    # a tiny Perron entry can overflow the products below or underflow the
+    # bound to 0, so the bound must be finite and hold; NaN fails it too
+    with np.errstate(all="ignore"):
+        T = np.einsum("ijk,k->ij", N, d)
+        dims = T.dot(d) / d.dot(d)
+        residual = np.abs(np.outer(dims, d) - T)
+        bound = tolerance * np.outer(1.0 + dims, d)
+        failed = ~(np.isfinite(bound) & (residual <= bound))
+        if failed.any():
+            raise NumericalError(
+                "fusion-matrix spectral radii fail the multiplicativity residual bound",
+                residual=float((residual[failed] / bound[failed]).max() * tolerance),
+            )
     global_dim = float(np.sum(dims * dims))
     dims = tuple(dims.tolist())
     return FPDimData(

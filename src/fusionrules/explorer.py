@@ -137,9 +137,13 @@ def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan
     n_orbits = len(orbit_a)
     buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_orbits)]
     # quadruples with any of i, j, k at the vacuum reduce to identities once
-    # the unit rows are forced, so only i, j, k >= 1 need checking
+    # the unit rows are forced, so only i, j, k >= 1 need checking.  The dual
+    # mirror (k*, j*, i*, l*) has the mirrored cells, so the same trigger, and
+    # the same equation with its sides swapped: only the lesser one is kept.
     for i, j, k in iproduct(range(1, r), repeat=3):
         for l in range(r):
+            if (dual[k], dual[j], dual[i], dual[l]) < (i, j, k, l):
+                continue
             trigger = -1
             for m in range(r):
                 for cell in (flat(i, j, m), flat(m, k, l), flat(j, k, m), flat(i, m, l)):

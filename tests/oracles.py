@@ -260,3 +260,49 @@ def closure_by_fixpoint(rule: FusionRule, seed) -> set:
                 members |= grown
                 changed = True
     return members
+
+
+def search_tensors_reference(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
+    """The search of ``_kernels.search_tensors`` with each associativity
+    quadruple re-derived from its ``(i, j, k, l)`` on every check: a plain
+    ``m`` loop over ``N[i,j,m] N[m,k,l] - N[j,k,m] N[i,m,l]`` on the flat
+    tensor, with no compiled index lists and no dropped terms."""
+    T = len(orbit_a)
+    r = rank
+    tensor = list(base)
+    oa = list(orbit_a)
+    ob = list(orbit_b)
+    ptr = list(quad_ptr)
+    qd = [tuple(row) for row in quads]
+    vals = [-1] * T
+    solutions = []
+    t = 0
+    while t >= 0:
+        v = vals[t] + 1
+        if v > max_val:
+            vals[t] = -1
+            tensor[oa[t]] = -1
+            tensor[ob[t]] = -1
+            t -= 1
+            continue
+        vals[t] = v
+        tensor[oa[t]] = v
+        tensor[ob[t]] = v
+        ok = True
+        for q in range(ptr[t], ptr[t + 1]):
+            i, j, k, l = qd[q]
+            s = 0
+            for m in range(r):
+                s += tensor[(i * r + j) * r + m] * tensor[(m * r + k) * r + l]
+                s -= tensor[(j * r + k) * r + m] * tensor[(i * r + m) * r + l]
+            if s != 0:
+                ok = False
+                break
+        if ok:
+            if t == T - 1:
+                solutions.append(tuple(tensor))
+            else:
+                t += 1
+    if not solutions:
+        return np.empty((0, base.size), dtype=np.int64)
+    return np.array(solutions, dtype=np.int64)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,25 @@ class TestFPDimensions:
             # the residual check bounds the error by 1e-6 * (1 + dim); the
             # slack covers the eigensolver on defective matrices
             assert np.isfinite(dim) and abs(dim - radius) <= 1e-6 * (1 + dim) + 1e-7
+
+    @pytest.mark.parametrize("t", [
+        # a Perron entry small enough to underflow the residual bound to 0
+        [[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 2]],
+         [[0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 0, 0], [2, 0, 1, 0]],
+         [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]],
+         [[2, 0, 0, 0], [0, 0, 0, 0], [0, 2, 1, 0], [0, 0, 0, 0]]],
+        # one small enough that d.d overflows
+        [[[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 3]],
+         [[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
+         [[0, 0, 0, 0], [0, 0, 0, 0], [3, 0, 3, 0], [0, 1, 0, 0]],
+         [[2, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 3, 1]]],
+    ])
+    def test_tiny_perron_entry_raises_without_warnings(self, t):
+        rule = FusionRule(labels=("0", "1", "2", "3"), dual=(0, 1, 2, 3), tensor=np.array(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                fp_dimensions(rule)
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):

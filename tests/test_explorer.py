@@ -1,3 +1,7 @@
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from fusionrules import (
@@ -9,6 +13,7 @@ from fusionrules import (
     survey,
     validate,
 )
+from fusionrules.explorer import _involutions, _prepare
 
 from oracles import naive_census
 
@@ -24,6 +29,17 @@ KNOWN_COUNTS = {
     (4, 1): 34,
     (4, 2): 121,
 }
+
+# sha256 over the emitted stream, json(dual) + tensor bytes per rule, recorded
+# from the search that re-derived each quadruple's flat indices per check
+STREAM_HASHES = {
+    (4, 2, False): "57801e140c0e3d84784485f05c1d11d5f982040cc4f0221604417b8e030d1451",
+    (4, 1, True): "de9bc3caa433d5eba9eb764d08261700dc7bf5b23e35fad5c1b606e8e01c2613",
+}
+
+# associativity quadruples per dual map at rank 4 after the mirror dedupe
+# (108 per dual before it), the same with and without bare axioms
+RANK4_QUADS = {(0, 1, 2, 3): 72, (0, 1, 3, 2): 57, (0, 2, 1, 3): 57, (0, 3, 2, 1): 57}
 
 
 def as_key(rule):
@@ -101,6 +117,39 @@ class TestEnumerate:
                 EnumSpec(rank=rank, max_mult=max_mult))}
             assert default <= strict
             assert strict == naive_census(rank, max_mult, strict=True)
+
+    @pytest.mark.parametrize("rank,max_mult,bare_axioms", sorted(STREAM_HASHES))
+    def test_frozen_stream_hash(self, rank, max_mult, bare_axioms):
+        digest = hashlib.sha256()
+        for rule in enumerate_rules(EnumSpec(rank, max_mult, bare_axioms=bare_axioms)):
+            digest.update(json.dumps(list(rule.dual)).encode() + rule.tensor.tobytes())
+        assert digest.hexdigest() == STREAM_HASHES[(rank, max_mult, bare_axioms)]
+
+    @pytest.mark.parametrize("bare_axioms", [False, True])
+    def test_dropped_quadruples_have_mirror_in_same_bucket(self, bare_axioms):
+        r = 4
+        for dual in _involutions(r):
+            plan = _prepare(r, dual, bare_axioms)
+            pos = np.full(r**3, -1)
+            pos[plan.orbit_a] = pos[plan.orbit_b] = np.arange(len(plan.orbit_a))
+            bucket = {
+                tuple(q): t
+                for t in range(len(plan.orbit_a))
+                for q in plan.quads[plan.quad_ptr[t]:plan.quad_ptr[t + 1]].tolist()
+            }
+            assert len(bucket) == len(plan.quads) == RANK4_QUADS[dual]
+            for i, j, k, l in np.ndindex(r, r, r, r):
+                if 0 in (i, j, k) or (i, j, k, l) in bucket:
+                    continue
+                cells = [
+                    cell
+                    for m in range(r)
+                    for cell in ((i, j, m), (m, k, l), (j, k, m), (i, m, l))
+                ]
+                trigger = max(pos[np.ravel_multi_index(c, (r, r, r))] for c in cells)
+                mirror = (dual[k], dual[j], dual[i], dual[l])
+                assert mirror < (i, j, k, l)
+                assert bucket[mirror] == trigger
 
     def test_bare_axioms_rank3_counts(self):
         assert sum(1 for _ in enumerate_rules(EnumSpec(rank=3, max_mult=1, bare_axioms=True))) == 9

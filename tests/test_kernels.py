@@ -2,9 +2,13 @@
 independent references."""
 
 import numpy as np
+import pytest
 
 from fusionrules import _kernels, named_fixture, su2k
 from fusionrules.core import _associativity_defects
+from fusionrules.explorer import _involutions, _prepare
+
+from oracles import search_tensors_reference
 
 
 def test_assoc_defect_zero_on_valid_rules():
@@ -34,3 +38,17 @@ def test_power_radius_handles_periodic_matrices():
     radius, resid, _, _ = _kernels.power_radius(mat, 1e-8, 10 ** 6)
     assert resid <= 1e-8
     assert abs(radius - 2 * np.cos(np.pi / 11)) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "rank,max_mult,bare_axioms",
+    [(3, 2, False), (4, 1, False), (4, 2, False), (3, 2, True), (4, 1, True)],
+)
+def test_search_matches_reference(rank, max_mult, bare_axioms):
+    # the same plans on both sides: compiled index tuples against the m loop
+    for dual in _involutions(rank):
+        plan = _prepare(rank, dual, bare_axioms)
+        args = (plan.base, plan.orbit_a, plan.orbit_b, plan.quad_ptr, plan.quads, max_mult, rank)
+        expected = search_tensors_reference(*args)
+        assert len(expected), dual
+        assert np.array_equal(_kernels.search_tensors(*args), expected), dual
