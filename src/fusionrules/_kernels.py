@@ -49,21 +49,19 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
 
 # --- exhaustive tensor search -------------------------------------------------
 #
-# Data layout (prepared by the explorer module):
-#   base      int64[r**3]   flattened tensor, forced entries filled, free == -1
-#   orbit_a   int64[T]      flat index of each free orbit's representative cell
-#   orbit_b   int64[T]      flat index of the duality-mirror cell (== orbit_a
-#                           for self-paired cells); assigning orbit t writes
-#                           both cells
-#   quad_ptr  int64[T+1]    CSR offsets into `quads`: the associativity
-#                           quadruples that become fully determined once orbit
-#                           t is assigned (the explorer keeps one quadruple of
-#                           each dual-mirror pair, whose equations coincide on
-#                           dual-symmetric tensors)
-#   quads     int64[Q, 4]   the (i, j, k, l) of each quadruple
+# The plan (prepared by the explorer module) is plain Python:
+#   base     the flattened tensor as a list, forced cells filled, free cells -1
+#   orbit_a  flat index of each free orbit's representative cell
+#   orbit_b  flat index of its duality-mirror cell (== orbit_a for self-paired
+#            cells); assigning orbit t writes both cells
+#   quads    one (t, i, j, k, l) per associativity quadruple, with t the orbit
+#            whose assignment completes it (the explorer keeps one quadruple of
+#            each dual-mirror pair, whose equations coincide on dual-symmetric
+#            tensors)
 #
 # The search assigns orbits in order with values 0..max_val and prunes on the
-# first violated quadruple.  Solutions are complete flattened tensors.
+# first violated quadruple of the orbit just assigned.  Solutions are complete
+# flattened tensors as tuples, in search order.
 #
 # Each quadruple is compiled once per call.  Its left side pairs the cells
 # (i, j, m) and (m, k, l), its right side (j, k, m) and (i, m, l).  A term with
@@ -72,20 +70,20 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
 # orbit's representative, or the first forced cell of equal value), so a term
 # on both sides cancels, and a quadruple with nothing left never prunes and is
 # dropped.  The first and second factors of each side become one
-# ``operator.itemgetter`` each over the tensor (a Python list), and a check is
+# ``operator.itemgetter`` each over the tensor, and a check is
 # ``sum(map(mul, ...))`` per side, evaluated by C-level builtins.  An
 # itemgetter of one index returns a scalar, not a tuple, so shorter sides are
 # padded with an always-zero cell appended to the tensor.
 
 
-def search_tensors(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
-    """Every solution of the search as an int64 array of shape ``(n, rank**3)``."""
+def search_tensors(plan, max_val, rank):
+    """Every solution of the search as a flattened tensor tuple, in search order."""
     r = rank
-    oa = orbit_a.tolist()
-    ob = orbit_b.tolist()
-    tensor = base.tolist()
-    cells = len(tensor)
-    tensor.append(0)
+    oa, ob = plan.orbit_a, plan.orbit_b
+    cells = len(plan.base)
+    if not oa:
+        return [tuple(plan.base)]
+    tensor = plan.base + [0]
     stand_in = [c if x < 0 else tensor.index(x) for c, x in enumerate(tensor)]
     for a, b in zip(oa, ob):
         stand_in[b] = a
@@ -101,15 +99,12 @@ def search_tensors(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
         first, second = zip(*pairs)
         return itemgetter(*first), itemgetter(*second)
 
-    checks = []
-    for t in range(len(oa)):
-        group = []
-        for i, j, k, l in quads[quad_ptr[t]:quad_ptr[t + 1]].tolist():
-            lhs = side(((i * r + j) * r + m, (m * r + k) * r + l) for m in range(r))
-            rhs = side(((j * r + k) * r + m, (i * r + m) * r + l) for m in range(r))
-            if lhs != rhs:
-                group.append(getters(lhs - rhs) + getters(rhs - lhs))
-        checks.append(group)
+    checks = [[] for _ in oa]
+    for t, i, j, k, l in plan.quads:
+        lhs = side(((i * r + j) * r + m, (m * r + k) * r + l) for m in range(r))
+        rhs = side(((j * r + k) * r + m, (i * r + m) * r + l) for m in range(r))
+        if lhs != rhs:
+            checks[t].append(getters(lhs - rhs) + getters(rhs - lhs))
 
     last = len(oa) - 1
     vals = [-1] * len(oa)
@@ -128,9 +123,7 @@ def search_tensors(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
                 break
         else:
             if t == last:
-                solutions.append(tensor[:cells])
+                solutions.append(tuple(tensor[:cells]))
             else:
                 t += 1
-    if not solutions:
-        return np.empty((0, cells), dtype=np.int64)
-    return np.array(solutions, dtype=np.int64)
+    return solutions

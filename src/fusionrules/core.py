@@ -156,19 +156,6 @@ def _associativity_defects(N: np.ndarray):
             yield i, j, k, l, int(block[j, k, l])
 
 
-# Check order fixes the report order; within one axiom the index tuples are
-# generated lexicographically.
-_AXIOM_ORDER = (
-    "involution",
-    "unit",
-    "dual_symmetry",
-    "associativity",
-    "vacuum_multiplicity",
-    "vacuum_uniqueness",
-    "adjoint_symmetry",
-)
-
-
 def validate(rule: FusionRule) -> ValidationReport:
     """Check every fusion axiom instance and report all violations.
 
@@ -177,7 +164,8 @@ def validate(rule: FusionRule) -> ValidationReport:
     associativity, vacuum multiplicity ``N[i,dual(i),0] == 1``, uniqueness of
     the vacuum channel (``N[i,j,0] == 0`` for ``j != dual(i)``; reported under
     its own code so rules failing only this can be told apart), and the derived
-    symmetry ``N[i,dual(i),j] == N[i,dual(i),dual(j)]``.
+    symmetry ``N[i,dual(i),j] == N[i,dual(i),dual(j)]``.  Violations are
+    reported axiom by axiom in that order, each axiom's by lexicographic index.
     """
     N = rule.tensor
     dual = rule.dual
@@ -196,7 +184,8 @@ def validate(rule: FusionRule) -> ValidationReport:
     for j, k in np.argwhere(N[0] != eye):
         want = 1 if j == k else 0
         out.append(Violation("unit", (0, int(j), int(k)), f"N[0,{j},{k}] = {N[0, j, k]}, expected {want}"))
-    for i, k in np.argwhere(N[:, 0, :] != eye):
+    # N[0,0,k] lies in the vacuum row too, so the column starts at i = 1
+    for i, k in np.argwhere(N[1:, 0, :] != eye[1:]) + (1, 0):
         want = 1 if i == k else 0
         out.append(Violation("unit", (int(i), 0, int(k)), f"N[{i},0,{k}] = {N[i, 0, k]}, expected {want}"))
 
@@ -251,8 +240,6 @@ def validate(rule: FusionRule) -> ValidationReport:
             )
         )
 
-    order = {axiom: n for n, axiom in enumerate(_AXIOM_ORDER)}
-    out.sort(key=lambda v: (order[v.axiom], v.index))
     return ValidationReport(valid=not out, violations=tuple(out))
 
 
@@ -286,8 +273,8 @@ def fp_dimensions(rule: FusionRule, tolerance: float = 1e-6) -> FPDimData:
     must hold; by the Collatz-Wielandt bounds it makes each dim its matrix's
     spectral radius to within ``tolerance * (1 + dims_i)``.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     threshold = tolerance * 1e-2
     N = rule.tensor
     _radius, resid, _its, v = _kernels.power_radius(

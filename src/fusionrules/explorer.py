@@ -88,88 +88,59 @@ def _involutions(rank: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class _SearchPlan:
-    base: np.ndarray
-    orbit_a: np.ndarray
-    orbit_b: np.ndarray
-    quad_ptr: np.ndarray
-    quads: np.ndarray
+    base: list[int]
+    orbit_a: list[int]
+    orbit_b: list[int]
+    quads: list[tuple[int, int, int, int, int]]
 
 
-def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan | None:
-    """Forced cells, free orbits, and per-step associativity quadruples.
-
-    Returns None when the forced cells alone already violate associativity
-    (cannot happen for the shipped modes, but keeps the contract total).
-    """
+def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan:
+    """Forced cells, free orbits, and the associativity quadruples, each as
+    ``(t, i, j, k, l)`` with ``t`` the orbit whose assignment completes it."""
     r = rank
 
     def flat(i, j, k):
         return (i * r + j) * r + k
 
-    base = np.full(r * r * r, -1, dtype=np.int64)
+    base = [-1] * r**3
     for j in range(r):
         for k in range(r):
-            base[flat(0, j, k)] = 1 if j == k else 0
-            base[flat(j, 0, k)] = 1 if j == k else 0
+            base[flat(0, j, k)] = base[flat(j, 0, k)] = int(j == k)
     for i in range(1, r):
         if bare_axioms:
             base[flat(i, dual[i], 0)] = 1
         else:
             for j in range(1, r):
-                base[flat(i, j, 0)] = 1 if j == dual[i] else 0
+                base[flat(i, j, 0)] = int(j == dual[i])
 
-    pos = np.full(r * r * r, -1, dtype=np.int64)
+    pos = [-1] * r**3
     orbit_a: list[int] = []
     orbit_b: list[int] = []
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                cell = flat(i, j, k)
-                if base[cell] != -1 or pos[cell] != -1:
-                    continue
-                mirror = flat(dual[j], dual[i], dual[k])
-                t = len(orbit_a)
-                orbit_a.append(cell)
-                orbit_b.append(mirror)
-                pos[cell] = t
-                pos[mirror] = t
+    for i, j, k in iproduct(range(r), repeat=3):
+        cell = flat(i, j, k)
+        if base[cell] == -1 and pos[cell] == -1:
+            mirror = flat(dual[j], dual[i], dual[k])
+            pos[cell] = pos[mirror] = len(orbit_a)
+            orbit_a.append(cell)
+            orbit_b.append(mirror)
 
-    n_orbits = len(orbit_a)
-    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_orbits)]
     # quadruples with any of i, j, k at the vacuum reduce to identities once
-    # the unit rows are forced, so only i, j, k >= 1 need checking.  The dual
-    # mirror (k*, j*, i*, l*) has the mirrored cells, so the same trigger, and
+    # the unit rows are forced, so only i, j, k >= 1 need checking; their cell
+    # (i, j, 1) is never forced, so each has a completing orbit.  The dual
+    # mirror (k*, j*, i*, l*) has the mirrored cells, so the same orbit, and
     # the same equation with its sides swapped: only the lesser one is kept.
+    quads = []
     for i, j, k in iproduct(range(1, r), repeat=3):
         for l in range(r):
             if (dual[k], dual[j], dual[i], dual[l]) < (i, j, k, l):
                 continue
-            trigger = -1
-            for m in range(r):
-                for cell in (flat(i, j, m), flat(m, k, l), flat(j, k, m), flat(i, m, l)):
-                    if pos[cell] > trigger:
-                        trigger = pos[cell]
-            if trigger == -1:
-                lhs = sum(base[flat(i, j, m)] * base[flat(m, k, l)] for m in range(r))
-                rhs = sum(base[flat(j, k, m)] * base[flat(i, m, l)] for m in range(r))
-                if lhs != rhs:
-                    return None
-            else:
-                buckets[trigger].append((i, j, k, l))
-
-    quad_ptr = np.zeros(n_orbits + 1, dtype=np.int64)
-    rows: list[tuple[int, int, int, int]] = []
-    for t, bucket in enumerate(buckets):
-        rows.extend(bucket)
-        quad_ptr[t + 1] = len(rows)
-    quads = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-    return _SearchPlan(
-        base=base,
-        orbit_a=np.array(orbit_a, dtype=np.int64),
-        orbit_b=np.array(orbit_b, dtype=np.int64),
-        quad_ptr=quad_ptr,
-        quads=quads,
-    )
+            t = max(
+                pos[cell]
+                for m in range(r)
+                for cell in (flat(i, j, m), flat(m, k, l), flat(j, k, m), flat(i, m, l))
+            )
+            quads.append((t, i, j, k, l))
+    return _SearchPlan(base=base, orbit_a=orbit_a, orbit_b=orbit_b, quads=quads)
 
 
 def enumerate_rules(spec: EnumSpec) -> Iterator[FusionRule]:
@@ -179,17 +150,7 @@ def enumerate_rules(spec: EnumSpec) -> Iterator[FusionRule]:
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for dual in duals:
         plan = _prepare(spec.rank, dual, spec.bare_axioms)
-        if plan is None:
-            continue
-        if len(plan.orbit_a) == 0:
-            solutions = plan.base.reshape(1, -1)
-        else:
-            solutions = _kernels.search_tensors(
-                plan.base, plan.orbit_a, plan.orbit_b, plan.quad_ptr, plan.quads,
-                spec.max_mult, spec.rank,
-            )
-        for row in solutions:
-            found.append((tuple(int(x) for x in row), dual))
+        found.extend((t, dual) for t in _kernels.search_tensors(plan, spec.max_mult, spec.rank))
 
     found.sort()
     if not spec.bare_axioms:
@@ -197,13 +158,9 @@ def enumerate_rules(spec: EnumSpec) -> Iterator[FusionRule]:
         assert len({t for t, _ in found}) == len(found)
 
     labels = default_labels(spec.rank)
-    emitted = 0
-    for tensor_flat, dual in found:
-        if spec.limit is not None and emitted >= spec.limit:
-            return
+    for tensor_flat, dual in found[:spec.limit]:
         tensor = np.array(tensor_flat, dtype=np.int64).reshape(spec.rank, spec.rank, spec.rank)
         yield FusionRule(labels=labels, dual=dual, tensor=tensor)
-        emitted += 1
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,8 @@ def drinfeld_double(
     in int16: ``N[X, Y, Z] <= d_X d_Y <= |G|**2``, so groups of order above
     181 are refused whatever ``max_order`` says.
     """
+    if not 0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     n = group.order
     cap = min(max_order, _INT16_ORDER_LIMIT)
     if n > cap:

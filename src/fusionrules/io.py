@@ -50,17 +50,18 @@ def rule_from_dict(data: dict) -> FusionRule:
     for key in ("rank", "dual", "fusion"):
         _require(key in data, f"rule document is missing the {key!r} key")
     rank = data["rank"]
-    _require(isinstance(rank, int) and rank >= 1, "rank must be a positive integer")
+    _require(type(rank) is int and rank >= 1, "rank must be a positive integer")
     dual = data["dual"]
     _require(
-        isinstance(dual, list) and len(dual) == rank and all(isinstance(d, int) for d in dual),
+        isinstance(dual, list) and len(dual) == rank and all(type(d) is int for d in dual),
         f"dual must be a list of {rank} integers",
     )
     labels = data.get("labels")
     if labels is None:
         labels = list(default_labels(rank))
     _require(
-        isinstance(labels, list) and len(labels) == rank,
+        isinstance(labels, list) and len(labels) == rank
+        and all(isinstance(x, str) for x in labels),
         f"labels must be a list of {rank} strings",
     )
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
@@ -68,7 +69,7 @@ def rule_from_dict(data: dict) -> FusionRule:
     _require(isinstance(data["fusion"], list), "fusion must be a list of [i,j,k,mult] records")
     for record in data["fusion"]:
         _require(
-            isinstance(record, list) and len(record) == 4 and all(isinstance(x, int) for x in record),
+            isinstance(record, list) and len(record) == 4 and all(type(x) is int for x in record),
             f"fusion record {record!r} is not a list of 4 integers",
         )
         i, j, k, mult = record
@@ -108,11 +109,11 @@ def parse_group(text: str) -> FiniteGroup:
     for key in ("order", "table"):
         _require(key in data, f"group document is missing the {key!r} key")
     order = data["order"]
-    _require(isinstance(order, int) and order >= 1, "order must be a positive integer")
+    _require(type(order) is int and order >= 1, "order must be a positive integer")
     table = data["table"]
     _require(
         isinstance(table, list) and len(table) == order * order
-        and all(isinstance(x, int) for x in table),
+        and all(type(x) is int for x in table),
         f"table must be a row-major list of {order * order} integers",
     )
     name = data.get("name", "G")

@@ -262,18 +262,19 @@ def closure_by_fixpoint(rule: FusionRule, seed) -> set:
     return members
 
 
-def search_tensors_reference(base, orbit_a, orbit_b, quad_ptr, quads, max_val, rank):
+def search_tensors_reference(plan, max_val, rank):
     """The search of ``_kernels.search_tensors`` with each associativity
     quadruple re-derived from its ``(i, j, k, l)`` on every check: a plain
     ``m`` loop over ``N[i,j,m] N[m,k,l] - N[j,k,m] N[i,m,l]`` on the flat
     tensor, with no compiled index lists and no dropped terms."""
-    T = len(orbit_a)
+    T = len(plan.orbit_a)
     r = rank
-    tensor = list(base)
-    oa = list(orbit_a)
-    ob = list(orbit_b)
-    ptr = list(quad_ptr)
-    qd = [tuple(row) for row in quads]
+    tensor = list(plan.base)
+    oa = plan.orbit_a
+    ob = plan.orbit_b
+    buckets = [[] for _ in range(T)]
+    for t, i, j, k, l in plan.quads:
+        buckets[t].append((i, j, k, l))
     vals = [-1] * T
     solutions = []
     t = 0
@@ -289,8 +290,7 @@ def search_tensors_reference(base, orbit_a, orbit_b, quad_ptr, quads, max_val, r
         tensor[oa[t]] = v
         tensor[ob[t]] = v
         ok = True
-        for q in range(ptr[t], ptr[t + 1]):
-            i, j, k, l = qd[q]
+        for i, j, k, l in buckets[t]:
             s = 0
             for m in range(r):
                 s += tensor[(i * r + j) * r + m] * tensor[(m * r + k) * r + l]
@@ -303,6 +303,4 @@ def search_tensors_reference(base, orbit_a, orbit_b, quad_ptr, quads, max_val, r
                 solutions.append(tuple(tensor))
             else:
                 t += 1
-    if not solutions:
-        return np.empty((0, base.size), dtype=np.int64)
-    return np.array(solutions, dtype=np.int64)
+    return solutions

@@ -81,6 +81,24 @@ class TestValidateCommand:
         assert len(err.splitlines()) == 1
         assert "memory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rank": True, "dual": [0], "fusion": [[0, 0, 0, 1]]},
+            {"rank": 2, "dual": [0, True], "fusion": [[0, 0, 0, 1]]},
+            {"rank": 1, "dual": [0], "fusion": [[0, 0, 0, True]]},
+            {"rank": 1, "labels": [7], "dual": [0], "fusion": [[0, 0, 0, 1]]},
+        ],
+    )
+    def test_json_booleans_and_non_string_labels_exit_two(self, tmp_path, capsys, doc):
+        # JSON true is a Python bool, which isinstance(..., int) accepts
+        path = tmp_path / "bool.rule"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "nj.rule"
         path.write_text("not json", encoding="utf-8")
@@ -130,6 +148,13 @@ class TestAnalyzeCommand:
         path = tmp_path / "bad.rule"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", str(path)]) == 1
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-6"])
+    def test_bad_tolerance_exit_two(self, ising_path, capsys, tolerance):
+        assert main(["analyze", ising_path, f"--tolerance={tolerance}"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "tolerance must be positive and finite" in err
 
     def test_json_keys_stable(self, ising_path, capsys):
         assert main(["analyze", ising_path, "--json"]) == 0
@@ -228,6 +253,21 @@ class TestGenCommand:
         assert main(["gen", "su2k", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("doc", [{"order": True, "table": [0]}, {"order": 1, "table": [False]}])
+    def test_group_file_booleans_exit_two(self, tmp_path, capsys, doc):
+        group_file = tmp_path / "bool.group"
+        group_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["gen", "pointed", "--group", str(group_file)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_double_nan_tolerance_exit_two(self, capsys):
+        assert main(["gen", "double", "--group", "s3", "--tolerance", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "tolerance must be positive and finite" in err
+
     def test_pointed_group_roundtrip(self, tmp_path):
         group_file = tmp_path / "q8.group"
         group_file.write_text(dump_group(builtin_group("q8")), encoding="utf-8")
@@ -320,6 +360,13 @@ class TestEnumerateCommand:
                      "--bare-axioms", "--limit", "6", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["total"], doc["total_with_vacuum_uniqueness"]) == (6, imposed)
+
+    def test_survey_nan_tolerance_exit_two(self, capsys):
+        assert main(["enumerate", "--rank", "2", "--max-mult", "1", "--survey",
+                     "--tolerance", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "tolerance must be positive and finite" in err
 
     def test_out_of_bounds_exit_two(self):
         assert main(["enumerate", "--rank", "9", "--survey"]) == 2

@@ -21,7 +21,7 @@ from fusionrules import (
     su2k,
     validate,
 )
-from fusionrules.core import _associativity_defects
+from fusionrules.core import _associativity_defects, default_labels
 from fusionrules.groups import builtin_group
 
 from oracles import associativity_defect_list, naive_validate
@@ -107,6 +107,14 @@ class TestValidate:
         again = validate(FusionRule(labels=("1", "a", "b"), dual=(0, 1, 2), tensor=t))
         assert again.violations == report.violations
 
+    def test_vacuum_row_cell_reported_once(self):
+        # N[0,0,1] lies in both the vacuum row and the vacuum column
+        ising = named_fixture("ising")
+        t = np.array(ising.tensor)
+        t[0, 0, 1] = 1
+        report = validate(FusionRule(labels=ising.labels, dual=ising.dual, tensor=t))
+        assert [v.index for v in report.violations if v.axiom == "unit"] == [(0, 0, 1)]
+
     def test_vacuum_uniqueness_has_dedicated_code(self):
         # the bare axiom set admits rules with extra vacuum channels; those
         # must fail with only the dedicated code set
@@ -137,6 +145,18 @@ class TestValidate:
             t[i, j, k] = rng.integers(0, 3)
             rule = FusionRule(labels=base.labels, dual=base.dual, tensor=t)
             assert validate(rule).valid == naive_validate(rule)
+
+    def test_report_runs_axiom_by_axiom_in_index_order(self):
+        order = ("involution", "unit", "dual_symmetry", "associativity",
+                 "vacuum_multiplicity", "vacuum_uniqueness", "adjoint_symmetry")
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            r = int(rng.integers(1, 5))
+            t = rng.integers(0, 3, size=(r, r, r))
+            dual = tuple(int(x) for x in rng.permutation(r))
+            found = validate(FusionRule(labels=default_labels(r), dual=dual, tensor=t)).violations
+            keys = [(order.index(v.axiom), v.index) for v in found]
+            assert keys == sorted(keys)
 
     def test_blocked_associativity_path_at_large_rank(self):
         # a large pointed rule: one extra channel breaks associativity
@@ -291,8 +311,9 @@ class TestFPDimensions:
                 fp_dimensions(rule)
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fp_dimensions(named_fixture("ising"), tolerance=0.0)
+        for tolerance in (0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                fp_dimensions(named_fixture("ising"), tolerance=tolerance)
 
 
 class TestProduct:

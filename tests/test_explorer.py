@@ -85,8 +85,9 @@ class TestEnumerate:
         assert flats == sorted(flats)
 
     def test_limit(self):
-        rules = list(enumerate_rules(EnumSpec(rank=3, max_mult=2, limit=5)))
-        assert len(rules) == 5
+        for limit in (0, 5):
+            rules = list(enumerate_rules(EnumSpec(rank=3, max_mult=2, limit=limit)))
+            assert len(rules) == limit
 
     def test_dual_map_restriction(self):
         swap = (0, 2, 1)
@@ -132,11 +133,7 @@ class TestEnumerate:
             plan = _prepare(r, dual, bare_axioms)
             pos = np.full(r**3, -1)
             pos[plan.orbit_a] = pos[plan.orbit_b] = np.arange(len(plan.orbit_a))
-            bucket = {
-                tuple(q): t
-                for t in range(len(plan.orbit_a))
-                for q in plan.quads[plan.quad_ptr[t]:plan.quad_ptr[t + 1]].tolist()
-            }
+            bucket = {q[1:]: q[0] for q in plan.quads}
             assert len(bucket) == len(plan.quads) == RANK4_QUADS[dual]
             for i, j, k, l in np.ndindex(r, r, r, r):
                 if 0 in (i, j, k) or (i, j, k, l) in bucket:
@@ -150,6 +147,24 @@ class TestEnumerate:
                 mirror = (dual[k], dual[j], dual[i], dual[l])
                 assert mirror < (i, j, k, l)
                 assert bucket[mirror] == trigger
+
+    @pytest.mark.parametrize("bare_axioms", [False, True])
+    def test_every_quadruple_has_completing_orbit(self, bare_axioms):
+        # no quadruple is decided by forced cells alone, so the plan needs no
+        # check before the search
+        for r in range(2, 6):
+            for dual in _involutions(r):
+                plan = _prepare(r, dual, bare_axioms)
+                pos = np.full(r**3, -1)
+                pos[plan.orbit_a] = pos[plan.orbit_b] = np.arange(len(plan.orbit_a))
+                for t, i, j, k, l in plan.quads:
+                    cells = [
+                        np.ravel_multi_index(c, (r, r, r))
+                        for m in range(r)
+                        for c in ((i, j, m), (m, k, l), (j, k, m), (i, m, l))
+                    ]
+                    assert t >= 0
+                    assert t == max(pos[cells])
 
     def test_bare_axioms_rank3_counts(self):
         assert sum(1 for _ in enumerate_rules(EnumSpec(rank=3, max_mult=1, bare_axioms=True))) == 9
