@@ -266,6 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tolerance = getattr(args, "tolerance", 1.0)
+    if not 0 < tolerance < float("inf"):
+        print(f"error: tolerance must be positive and finite, got {tolerance}", file=sys.stderr)
+        return PARSE_ERROR
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -8,6 +8,7 @@ at rank 11.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +46,30 @@ def _require(condition: bool, message: str) -> None:
         raise StructuralError(message)
 
 
+_FOUR_INTS = [int] * 4
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int64_rows(records: list) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(records), np.int64, 4 * len(records)).reshape(-1, 4)
+
+
+def _record_fault(record, rank: int) -> str:
+    """Why a fusion record fails, for the first failing record of a file:
+    a well-formed, in-range record with a positive multiplicity that fits in
+    int64 fails only as a repeat of an earlier record."""
+    if not (type(record) is list and list(map(type, record)) == _FOUR_INTS):
+        return f"fusion record {record!r} is not a list of 4 integers"
+    i, j, k, mult = record
+    if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
+        return f"fusion record {record!r} has indices out of range"
+    if mult < 1:
+        return f"fusion record {record!r} must have multiplicity >= 1"
+    if mult > _INT64_MAX:
+        return f"fusion record {record!r} has a multiplicity above 2**63 - 1"
+    return f"duplicate fusion record for ({i},{j},{k})"
+
+
 def rule_from_dict(data: dict) -> FusionRule:
     _require(isinstance(data, dict), "rule document must be a JSON object")
     for key in ("rank", "dual", "fusion"):
@@ -65,21 +90,27 @@ def rule_from_dict(data: dict) -> FusionRule:
         f"labels must be a list of {rank} strings",
     )
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-    seen = set()
-    _require(isinstance(data["fusion"], list), "fusion must be a list of [i,j,k,mult] records")
-    for record in data["fusion"]:
-        _require(
-            isinstance(record, list) and len(record) == 4 and all(type(x) is int for x in record),
-            f"fusion record {record!r} is not a list of 4 integers",
-        )
-        i, j, k, mult = record
-        _require(0 <= i < rank and 0 <= j < rank and 0 <= k < rank,
-                 f"fusion record {record!r} has indices out of range")
-        _require(mult >= 1, f"fusion record {record!r} must have multiplicity >= 1")
-        _require(mult <= 2**63 - 1, f"fusion record {record!r} has a multiplicity above 2**63 - 1")
-        _require((i, j, k) not in seen, f"duplicate fusion record for ({i},{j},{k})")
-        seen.add((i, j, k))
-        tensor[i, j, k] = mult
+    records = data["fusion"]
+    _require(isinstance(records, list), "fusion must be a list of [i,j,k,mult] records")
+    # the one pass over the records; everything after it works on arrays
+    plain = [type(rec) is list and list(map(type, rec)) == _FOUR_INTS for rec in records]
+    stop = plain.index(False) if False in plain else len(plain)
+    try:
+        arr = _int64_rows(records[:stop])
+    except OverflowError:  # the array part ends before the first value outside int64
+        wide = np.array(records[:stop], dtype=object)
+        stop = int(np.flatnonzero(((wide < _INT64_MIN) | (wide > _INT64_MAX)).any(axis=1))[0])
+        arr = _int64_rows(records[:stop])
+    ijk, mult = arr[:, :3], arr[:, 3]
+    in_range = ((ijk >= 0) & (ijk < rank)).all(axis=1)
+    keys = np.where(in_range, (ijk[:, 0] * rank + ijk[:, 1]) * rank + ijk[:, 2], -1)
+    repeat = np.ones(stop, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    bad = np.flatnonzero(~in_range | (mult < 1) | repeat)
+    first = int(bad[0]) if bad.size else stop
+    if first < len(records):
+        raise StructuralError(_record_fault(records[first], rank))
+    tensor[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = mult
     return FusionRule(labels=tuple(labels), dual=tuple(dual), tensor=tensor)
 
 

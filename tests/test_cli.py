@@ -7,6 +7,8 @@ import pytest
 from fusionrules import (
     EnumSpec,
     _kernels,
+    cli,
+    core,
     enumerate_rules,
     named_fixture,
     parse_rule,
@@ -114,6 +116,64 @@ class TestValidateCommand:
         assert doc["valid"] is True
 
 
+def _valid_records(count=1000, rank=11):
+    """``count`` distinct in-range records of a rank-``rank`` rule file."""
+    return [[n // rank**2, n // rank % rank, n % rank, n % 3 + 1] for n in range(count)]
+
+
+# Each file holds 1,000 valid rank-11 records and then these.  The stderr lines
+# were recorded from the per-record parser that the array checks replaced.
+PARSE_FAULTS = {
+    "not_a_list": ([7], "fusion record 7 is not a list of 4 integers"),
+    "wrong_length": ([[10, 10, 10]], "fusion record [10, 10, 10] is not a list of 4 integers"),
+    "boolean": ([[10, 10, 10, True]],
+                "fusion record [10, 10, 10, True] is not a list of 4 integers"),
+    "float": ([[10, 10, 10, 1.0]], "fusion record [10, 10, 10, 1.0] is not a list of 4 integers"),
+    "index_out_of_range": ([[10, 11, 0, 1]],
+                           "fusion record [10, 11, 0, 1] has indices out of range"),
+    "zero_multiplicity": ([[10, 10, 10, 0]],
+                          "fusion record [10, 10, 10, 0] must have multiplicity >= 1"),
+    "above_int64": ([[10, 10, 10, 2**63]],
+                    "fusion record [10, 10, 10, 9223372036854775808] has a multiplicity "
+                    "above 2**63 - 1"),
+    "duplicate": ([[0, 0, 5, 2]], "duplicate fusion record for (0,0,5)"),
+    "zero_then_not_a_list": ([[10, 10, 10, 0], "x"],
+                             "fusion record [10, 10, 10, 0] must have multiplicity >= 1"),
+    "not_a_list_then_out_of_range": ([None, [11, 0, 0, 1]],
+                                     "fusion record None is not a list of 4 integers"),
+    "above_int64_then_duplicate": ([[10, 10, 9, 2**64], [0, 0, 1, 1]],
+                                   "fusion record [10, 10, 9, 18446744073709551616] has a "
+                                   "multiplicity above 2**63 - 1"),
+    "duplicate_then_float": ([[0, 1, 0, 1], [10, 10, 10, 0.5]],
+                             "duplicate fusion record for (0,1,0)"),
+    "out_of_range_then_above_int64": ([[-1, 0, 0, 1], [10, 10, 10, 2**63]],
+                                      "fusion record [-1, 0, 0, 1] has indices out of range"),
+    "huge_index_then_zero": ([[2**64, 0, 0, 1], [10, 10, 10, 0]],
+                             "fusion record [18446744073709551616, 0, 0, 1] has indices "
+                             "out of range"),
+    "duplicate_of_a_duplicate": ([[10, 10, 10, 1], [10, 10, 10, 2]],
+                                 "duplicate fusion record for (10,10,10)"),
+}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("name", sorted(PARSE_FAULTS))
+    def test_first_failing_record_named(self, tmp_path, capsys, name):
+        tail, message = PARSE_FAULTS[name]
+        doc = {"rank": 11, "dual": list(range(11)), "fusion": _valid_records() + tail}
+        path = tmp_path / f"{name}.rule"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_valid_records_parse_to_the_tensor(self):
+        records = _valid_records()
+        doc = {"rank": 11, "dual": list(range(11)), "fusion": records}
+        tensor = parse_rule(json.dumps(doc)).tensor
+        assert np.count_nonzero(tensor) == len(records)
+        assert all(tensor[i, j, k] == mult for i, j, k, mult in records)
+
+
 class TestAnalyzeCommand:
     def test_so8_2(self, tmp_path, capsys):
         path = tmp_path / "so8.rule"
@@ -155,6 +215,15 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "tolerance must be positive and finite" in err
+
+    def test_bad_tolerance_refused_before_validate(self, ising_path, capsys, monkeypatch):
+        def fail(rule):
+            raise AssertionError("validate ran")
+
+        monkeypatch.setattr(core, "validate", fail)
+        monkeypatch.setattr(cli, "validate", fail)
+        assert main(["analyze", ising_path, "--tolerance", "nan"]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got nan\n"
 
     def test_json_keys_stable(self, ising_path, capsys):
         assert main(["analyze", ising_path, "--json"]) == 0
@@ -240,6 +309,19 @@ class TestGenCommand:
         out = tmp_path / "p.rule"
         assert main(["gen", "product", ising_path, ising_path, "--out", str(out)]) == 0
         assert parse_rule(out.read_text(encoding="utf-8")).rank == 9
+
+    def test_product_entry_overflow_exit_two(self, tmp_path, capsys):
+        # 2**32 * 2**32 wraps to 0 in int64, which would drop a record
+        doc = {"rank": 2, "dual": [0, 1],
+               "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2**32]]}
+        path = tmp_path / "a.rule"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "p.rule"
+        assert main(["gen", "product", str(path), str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "2**63 - 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_fixture_exit_two(self, capsys):
         assert main(["gen", "fixture", "nosuch"]) == 2
@@ -367,6 +449,15 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "tolerance must be positive and finite" in err
+
+    def test_bad_tolerance_refused_before_search(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("search ran")
+
+        monkeypatch.setattr(_kernels, "search_tensors", fail)
+        assert main(["enumerate", "--rank", "4", "--max-mult", "3", "--survey",
+                     "--tolerance", "nan"]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got nan\n"
 
     def test_out_of_bounds_exit_two(self):
         assert main(["enumerate", "--rank", "9", "--survey"]) == 2

@@ -11,6 +11,8 @@ from fusionrules import (
     FusionRule,
     NumericalError,
     StructuralError,
+    core,
+    cyclic,
     drinfeld_double,
     enumerate_rules,
     fp_dimensions,
@@ -21,7 +23,7 @@ from fusionrules import (
     su2k,
     validate,
 )
-from fusionrules.core import _associativity_defects, default_labels
+from fusionrules.core import _assoc_dense, _assoc_sparse, _associativity_defects, default_labels
 from fusionrules.groups import builtin_group
 
 from oracles import associativity_defect_list, naive_validate
@@ -159,9 +161,9 @@ class TestValidate:
             assert keys == sorted(keys)
 
     def test_blocked_associativity_path_at_large_rank(self):
-        # a large pointed rule: one extra channel breaks associativity
-        from fusionrules import cyclic
-
+        # a large pointed rule, which takes the sparse path (2 * 41**3 terms
+        # against 2 * 41**5 dense multiply-adds): one extra channel breaks
+        # associativity
         base = pointed(cyclic(41))
         assert validate(base).valid
         t = np.array(base.tensor)
@@ -184,6 +186,26 @@ class TestValidate:
         expected = associativity_defect_list(t)
         assert max(abs(d[4]) for d in expected) > 2**51
         assert list(_associativity_defects(t)) == expected
+        assert list(_assoc_sparse(t)) == expected
+        assert list(_assoc_dense(t)) == expected
+
+    def test_double_of_z16_is_valid(self):
+        # rank 256 at 0.4% density: affordable only on the sparse path
+        assert validate(drinfeld_double(builtin_group("z16"))).valid
+
+    def test_associativity_path_follows_predicted_work(self, monkeypatch):
+        taken = []
+        for name in ("_assoc_sparse", "_assoc_dense"):
+            helper = getattr(core, name)
+
+            def counted(N, helper=helper, name=name):
+                taken.append(name)
+                yield from helper(N)
+
+            monkeypatch.setattr(core, name, counted)
+        assert validate(drinfeld_double(builtin_group("z10"))).valid
+        assert validate(su2k(20)).valid
+        assert taken == ["_assoc_sparse", "_assoc_dense"]
 
     def test_rules_are_hashable(self):
         assert len({named_fixture("ising"), named_fixture("ising")}) == 1
@@ -204,19 +226,27 @@ def small_tensors(draw):
 
 
 class TestAssociativityDefects:
-    """One float64-blocked path at every rank against the dense int64 einsum."""
+    """The dispatched check and both of its paths, each called directly,
+    against the dense int64 einsum."""
 
     @settings(max_examples=300, deadline=None)
     @given(small_tensors())
     def test_matches_dense_reference_on_random_tensors(self, t):
-        assert list(_associativity_defects(t)) == associativity_defect_list(t)
+        expected = associativity_defect_list(t)
+        assert list(_associativity_defects(t)) == expected
+        assert list(_assoc_sparse(t)) == expected
+        assert list(_assoc_dense(t)) == expected
 
-    @pytest.mark.parametrize("name,mutations", [("su2k_20", 12), ("so8_2", 12), ("so8_2_x_toric", 3)])
+    @pytest.mark.parametrize("name,mutations", [
+        ("su2k_20", 12), ("so8_2", 12), ("so8_2_x_toric", 3), ("pointed_z41", 3), ("double_z6", 6),
+    ])
     def test_matches_dense_reference_on_mutations(self, name, mutations):
         rule = {
             "su2k_20": lambda: su2k(20),
             "so8_2": lambda: named_fixture("so8_2"),
             "so8_2_x_toric": lambda: product(named_fixture("so8_2"), named_fixture("toric")),
+            "pointed_z41": lambda: pointed(cyclic(41)),
+            "double_z6": lambda: drinfeld_double(builtin_group("z6")),
         }[name]()
         rng = np.random.default_rng(rule.rank)
         for _ in range(mutations):
@@ -226,6 +256,8 @@ class TestAssociativityDefects:
             expected = associativity_defect_list(t)
             assert expected
             assert list(_associativity_defects(t)) == expected
+            assert list(_assoc_sparse(t)) == expected
+            assert list(_assoc_dense(t)) == expected
             report = validate(FusionRule(labels=rule.labels, dual=rule.dual, tensor=t))
             found = [v.index for v in report.violations if v.axiom == "associativity"]
             assert found == [d[:4] for d in expected]
@@ -317,6 +349,13 @@ class TestFPDimensions:
 
 
 class TestProduct:
+    def test_entry_overflow_raises(self):
+        # 2**32 * 2**32 = 2**64 would wrap to 0 in int64
+        big = rank2_rule(self_channel=2**32)
+        with pytest.raises(CapacityError, match="2\\*\\*63 - 1"):
+            product(big, big)
+        assert product(big, rank2_rule()).tensor.max() == 2**32
+
     def test_trivial_factor_is_identity(self):
         ising = named_fixture("ising")
         prod = product(ising, named_fixture("trivial"))
