@@ -11,9 +11,7 @@ notions.
 from .acyclicity import (
     AdjointGraph,
     CycleWitness,
-    TheoremCheck,
     adjoint_graph,
-    check_theorem,
     find_cycle,
     is_acyclic,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "LabelSet",
     "NumericalError",
     "StructuralError",
-    "TheoremCheck",
     "TheoremSurvey",
     "UnknownFixtureError",
     "ValidationReport",
@@ -85,7 +82,6 @@ __all__ = [
     "builtin_group_names",
     "central_series",
     "character_table",
-    "check_theorem",
     "closure",
     "cyclic",
     "dihedral",

@@ -1,5 +1,4 @@
-"""Adjoint graph construction, directed-cycle detection, and the
-acyclic-vs-nilpotent cross-check.
+"""Adjoint graph construction and directed-cycle detection.
 
 The adjoint graph has one vertex per dual pair ``{i, dual(i)}`` and an edge
 from a non-vacuum pair to every pair appearing in ``x (dual x)``.  A fusion
@@ -18,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FusionRule
-from .nilpotency import central_series
 
 __all__ = [
     "AdjointGraph",
     "CycleWitness",
-    "TheoremCheck",
     "adjoint_graph",
     "find_cycle",
     "is_acyclic",
-    "check_theorem",
 ]
 
 
@@ -43,12 +39,6 @@ class AdjointGraph:
 
     vertices: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, int], ...]
-
-    def vertex_of(self, label: int) -> int:
-        for n, pair in enumerate(self.vertices):
-            if label in pair:
-                return n
-        raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -156,22 +146,3 @@ def find_cycle(rule: FusionRule) -> CycleWitness | None:
 def is_acyclic(rule: FusionRule) -> bool:
     return find_cycle(rule) is None
 
-
-@dataclass(frozen=True)
-class TheoremCheck:
-    """Independent acyclicity and nilpotency verdicts; they must agree."""
-
-    acyclic: bool
-    nilpotent: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.acyclic == self.nilpotent
-
-
-def check_theorem(rule: FusionRule) -> TheoremCheck:
-    """Run the graph-based and series-based decision procedures independently."""
-    return TheoremCheck(
-        acyclic=is_acyclic(rule),
-        nilpotent=central_series(rule).nilpotent,
-    )

@@ -73,10 +73,6 @@ class FusionRule:
     def rank(self) -> int:
         return len(self.labels)
 
-    def fusion_matrix(self, i: int) -> np.ndarray:
-        """Matrix ``(N_i)[j, k] = N[i, j, k]`` acting on label space."""
-        return self.tensor[i]
-
     def outcomes(self, i: int, j: int) -> dict[int, int]:
         """Nonzero fusion channels of ``i x j`` as ``{k: multiplicity}``."""
         row = self.tensor[i, j]
@@ -261,7 +257,7 @@ def validate(rule: FusionRule) -> ValidationReport:
         out.append(Violation("unit", (int(i), 0, int(k)), f"N[{i},0,{k}] = {N[i, 0, k]}, expected {want}"))
 
     d = np.array(dual)
-    mirrored_all = N[d][:, d][:, :, d].transpose(1, 0, 2)  # [i,j,k] -> N[dual j, dual i, dual k]
+    mirrored_all = N[np.ix_(d, d, d)].transpose(1, 0, 2)  # [i,j,k] -> N[dual j, dual i, dual k]
     for i, j, k in np.argwhere(N != mirrored_all):
         out.append(
             Violation(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .acyclicity import is_acyclic
 from .core import FusionRule, fp_dimensions, validate
 from .errors import CapacityError, NumericalError, StructuralError, UnknownFixtureError
 from .groups import FiniteGroup, character_table
@@ -28,9 +29,8 @@ def pointed(group: FiniteGroup) -> FusionRule:
     """The abelian (single-outcome) fusion rule of a finite group."""
     n = group.order
     tensor = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            tensor[i, j, group.table[i, j]] = 1
+    idx = np.arange(n)
+    tensor[idx[:, None], idx, group.table] = 1
     labels = ("1",) + tuple(f"g{i}" for i in range(1, n))
     return FusionRule(labels=labels, dual=group.inverses, tensor=tensor)
 
@@ -43,17 +43,13 @@ def su2k(k: int) -> FusionRule:
     if k < 1:
         raise ValueError("level k must be >= 1")
     r = k + 1
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                if (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b):
-                    tensor[a, b, c] = 1
+    a, b, c = np.indices((r, r, r), sparse=True)  # open grids, not three rank**3 arrays
+    allowed = ((a + b + c) % 2 == 0) & (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
     labels = tuple(str(a // 2) if a % 2 == 0 else f"{a}/2" for a in range(r))
-    return FusionRule(labels=labels, dual=tuple(range(r)), tensor=tensor)
+    return FusionRule(labels=labels, dual=tuple(range(r)), tensor=allowed.astype(np.int64))
 
 
-def _from_products(labels, products, self_dual=True) -> FusionRule:
+def _from_products(labels, products) -> FusionRule:
     """Build a commutative rule from ``{(i, j): outcomes}`` given for ``i <= j``
     (vacuum row omitted; every label self-dual)."""
     r = len(labels)
@@ -114,8 +110,6 @@ _SO8_2_PRODUCTS = {
 
 
 def _so8_2() -> FusionRule:
-    from .acyclicity import is_acyclic  # local import to avoid a cycle
-
     rule = _from_products(_SO8_2_LABELS, _SO8_2_PRODUCTS)
     if rule.rank != 11 or rule.dual != tuple(range(11)):
         raise StructuralError("so8_2 fixture must have 11 self-dual labels")

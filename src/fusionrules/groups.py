@@ -65,75 +65,55 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = int(np.nonzero(self.table[a] == 0)[0][0])
-        return tuple(inv)
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
-    def conjugate(self, x: int, g: int) -> int:
-        """x g x^-1"""
-        return self.mul(self.mul(x, g), self.inv(x))
-
-    def commutator(self, a: int, b: int) -> int:
-        """a^-1 b^-1 a b"""
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+        return tuple(np.argmax(self.table == 0, axis=1).tolist())
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes sorted by their smallest member, which is the representative."""
-        seen = set()
+        t = self.table
+        conj = t[t, np.array(self.inverses)[:, None]]  # [x, g] -> x g x^-1
+        seen = np.zeros(self.order, dtype=bool)
         classes = []
         for g in range(self.order):
-            if g in seen:
-                continue
-            orbit = sorted({self.conjugate(x, g) for x in range(self.order)})
-            seen.update(orbit)
-            classes.append(tuple(orbit))
+            if not seen[g]:
+                orbit = np.unique(conj[:, g])
+                seen[orbit] = True
+                classes.append(tuple(orbit.tolist()))
         return tuple(classes)
 
     def centralizer_elements(self, g: int) -> tuple[int, ...]:
-        return tuple(h for h in range(self.order) if self.table[h, g] == self.table[g, h])
+        return tuple(np.flatnonzero(self.table[:, g] == self.table[g]).tolist())
 
     def generated_subgroup(self, generators) -> tuple[int, ...]:
-        """Element set of the subgroup generated by ``generators``."""
-        members = {0}
-        pending = sorted(set(int(g) for g in generators) - {0})
-        members.update(pending)
-        while pending:
-            a = pending.pop(0)
-            for b in sorted(members):
-                for c in (self.mul(a, b), self.mul(b, a), self.inv(a)):
-                    if c not in members:
-                        members.add(c)
-                        pending.append(c)
-            pending.sort()
-        return tuple(sorted(members))
+        """Element set of the subgroup generated by ``generators``.
+
+        Saturates a membership mask under products; in a finite group that
+        closure already contains every inverse.
+        """
+        members = np.zeros(self.order, dtype=bool)
+        members[0] = True
+        members[np.fromiter(generators, dtype=np.int64)] = True
+        size = 0
+        while members.sum() > size:
+            size = members.sum()
+            idx = np.flatnonzero(members)
+            members[self.table[np.ix_(idx, idx)]] = True
+        return tuple(np.flatnonzero(members).tolist())
 
     def subgroup(self, elements) -> "FiniteGroup":
         """The subgroup on ``elements`` (must be closed), reindexed 0..m-1.
 
         Element ``k`` of the result is ``sorted(elements)[k]`` in the parent.
         """
-        idx = sorted(int(e) for e in elements)
+        idx = np.sort(np.fromiter(elements, dtype=np.int64))
         if idx[0] != 0:
             raise StructuralError("subgroup must contain the identity")
-        back = {e: n for n, e in enumerate(idx)}
-        sub = np.empty((len(idx), len(idx)), dtype=np.int64)
-        for a, ea in enumerate(idx):
-            for b, eb in enumerate(idx):
-                c = self.mul(ea, eb)
-                if c not in back:
-                    raise StructuralError("element set is not closed under multiplication")
-                sub[a, b] = back[c]
-        return FiniteGroup(table=sub, name=f"{self.name}-sub{len(idx)}")
+        products = self.table[np.ix_(idx, idx)]
+        if not np.isin(products, idx).all():
+            raise StructuralError("element set is not closed under multiplication")
+        return FiniteGroup(table=np.searchsorted(idx, products), name=f"{self.name}-sub{len(idx)}")
 
     @property
     def is_abelian(self) -> bool:
@@ -145,11 +125,12 @@ class FiniteGroup:
 
 def lower_central_series(group: FiniteGroup) -> list[tuple[int, ...]]:
     """[G, [G,G], [G,[G,G]], ...] down to stabilization or the trivial subgroup."""
-    current = tuple(range(group.order))
-    series = [current]
+    t, inv = group.table, np.array(group.inverses)
+    series = [tuple(range(group.order))]
     while len(series[-1]) > 1:
-        comms = {group.commutator(g, h) for g in range(group.order) for h in series[-1]}
-        nxt = group.generated_subgroup(comms)
+        h = np.array(series[-1])
+        comms = t[t[inv[:, None], inv[h]], t[:, h]]  # [g, h] -> g^-1 h^-1 g h
+        nxt = group.generated_subgroup(comms.ravel())
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -189,20 +170,13 @@ class CharacterTable:
 def _class_algebra_matrices(group: FiniteGroup):
     classes = group.conjugacy_classes
     k = len(classes)
-    class_of = {}
-    for n, cls in enumerate(classes):
-        for g in cls:
-            class_of[g] = n
-    mats = np.zeros((k, k, k))
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            counts = np.zeros(group.order, dtype=np.int64)
-            for x in ci:
-                counts_idx = group.table[x, list(cj)]
-                for z in counts_idx:
-                    counts[z] += 1
-            for l, cl in enumerate(classes):
-                mats[i, l, j] = counts[cl[0]]
+    class_of = np.empty(group.order, dtype=np.int64)
+    for c, cls in enumerate(classes):
+        class_of[list(cls)] = c
+    # mats[i, l, j] counts the pairs (x in C_i, y in C_j) with xy the representative of C_l
+    x, y = np.nonzero(np.isin(group.table, [cls[0] for cls in classes]))
+    key = (class_of[x] * k + class_of[group.table[x, y]]) * k + class_of[y]
+    mats = np.bincount(key, minlength=k**3).reshape(k, k, k).astype(np.float64)
     return classes, mats
 
 
@@ -326,9 +300,8 @@ def _perm_sign(p) -> int:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     ng, nh = g.order, h.order
-    table = np.empty((ng * nh, ng * nh), dtype=np.int64)
-    for i1, j1, i2, j2 in itertools.product(range(ng), range(nh), range(ng), range(nh)):
-        table[i1 * nh + j1, i2 * nh + j2] = g.table[i1, i2] * nh + h.table[j1, j2]
+    # [i1, j1, i2, j2] -> (i1 i2, j1 j2), flattened as i * nh + j on both axes
+    table = (g.table[:, None, :, None] * nh + h.table[None, :, None, :]).reshape(ng * nh, ng * nh)
     return FiniteGroup(table=table, name=f"{g.name}x{h.name}")
 
 

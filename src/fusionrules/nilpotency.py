@@ -44,9 +44,6 @@ class LabelSet:
     def __iter__(self):
         return iter(self.members)
 
-    def names(self, rule: FusionRule) -> tuple[str, ...]:
-        return tuple(rule.labels[i] for i in self.members)
-
 
 def is_closed(rule: FusionRule, members) -> bool:
     """Whether ``members`` is a sub-fusion rule of ``rule``."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from fusionrules import (
     direct_product,
     is_nilpotent,
     lower_central_series,
+    pointed,
     quaternion8,
+    su2k,
 )
 from fusionrules.groups import alternating, symmetric
 
@@ -81,7 +85,7 @@ class TestFiniteGroup:
         for a in range(6):
             x, n = a, 1
             while x != 0:
-                x = g.mul(x, a)
+                x = g.table[x, a]
                 n += 1
             orders.add(n)
         assert 6 in orders  # has an element of order 6
@@ -169,3 +173,124 @@ class TestCharacterTable:
         for n, cls in enumerate(ct.classes):
             for g in cls:
                 assert ct.class_index_of(g) == n
+
+
+def _relabelled(group: FiniteGroup, seed: int) -> FiniteGroup:
+    """The same group with its non-identity elements permuted by a seeded shuffle."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(group.order - 1)])
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    return FiniteGroup(table=table, name=f"{group.name}-relabelled")
+
+
+def _parity_groups():
+    groups = {name: builtin_group(name) for name in builtin_group_names()}
+    groups["s4"] = symmetric(4)
+    groups["q8xz3"] = direct_product(quaternion8(), cyclic(3))
+    groups["s3xz4"] = direct_product(symmetric(3), cyclic(4))
+    for seed, name in enumerate(sorted(groups)):
+        groups[f"{name}~"] = _relabelled(groups[name], seed)
+    return groups
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _group_layer_digest(g: FiniteGroup) -> str:
+    centralizers = tuple(g.centralizer_elements(x) for x in range(g.order))
+    subgroup_tables = [g.subgroup(cz).table for cz in sorted(set(centralizers))]
+    chars = np.round(character_table(g).table, 9) + 0.0
+    return _digest(
+        g.inverses,
+        g.conjugacy_classes,
+        centralizers,
+        lower_central_series(g),
+        is_nilpotent(g),
+        *subgroup_tables,
+        chars,
+        pointed(g).tensor,
+    )
+
+
+# sha256 over inverses, classes, centralizers, lower central series, nilpotency
+# verdict, centralizer subgroup tables, rounded character table and pointed
+# tensor, recorded from the element-at-a-time group layer ("~" = relabelled)
+GROUP_LAYER_HASHES = {
+    "a4": "b1fce1e4c42edd23296993e9bd58ac12d9f40e881552c7fa72bcde7a3aa198ad",
+    "a4~": "78a6d7217a984feb035328e3dbd4119071821e8ee5883a52216dfae7ca4ebc64",
+    "d4": "5b3982c48524624b8437cc4e1c987f1657eefcc7c454866a2034e560c3886d31",
+    "d4~": "497856e3089b5bfe546b912389e9c39151da3bec46452a888546512c3b81c10a",
+    "d5": "100b014c5b460364c0190bdc50a0ec206fcfef0bcdcfe11721b54c7aa1776915",
+    "d5~": "d50c6c30707f22b4546a429c033a0cf5b44cd0be8d8de3696b42754cc703a58b",
+    "q8": "473b450434211f1a31632e2fcf556b90260acaf61e2463183809d95ce5714255",
+    "q8xz3": "671532f01e8dd4521cda22841eca86b682cb43da2d48d47ea3a7a67694b75ebe",
+    "q8xz3~": "87861a4b2aef25f1ebfa90db2dd4081c343837800c125b5fada112357f4a28ae",
+    "q8~": "bd7dafc76f55fbb157b561910b3956fd9d9419bfded751dd08ee51fe99638da9",
+    "s3": "49cab774458650c9f58f7597101c5e8d07af59f4c0ef5bf7ab5b8a0cb8647402",
+    "s3xz4": "8743e3fd571b760f9fa85500866e3bbc11dfa14925b10b4f9b713d572b0489af",
+    "s3xz4~": "5607d8d6b5ed1a76316030d12d91cd11621c40d6c2df61d29580bec1a8b42db7",
+    "s3~": "8455068853ff7178369e4ac8a1180701efda8cec2ae9883edb926bc5abf4e515",
+    "s4": "a00c311011f5c0b55144e61a4ff7ac579b07c8ddbef5822d563eb4c208766054",
+    "s4~": "e190823fb9d9cdabb7dc5faee74d0cf16eda5980693eafb1c74fff2b1bc98133",
+    "z1": "d9ba81015c0293e145d0d0d6b4dbd2e74e47acf03e81d8d44337784cd9c33eb1",
+    "z10": "40ec7c27ba8b0f75305932862fbb64a85746caba35a2280b8a67e91ebdb86948",
+    "z10~": "21eabef12f9267dec32445ed5d11ef3d21ce9f4dd69ff4c476f3fc6d6d1aafc4",
+    "z11": "2666556973c44a746373dc2c0abda10f7ad75a7555f09a1ca89b8c3b190c0941",
+    "z11~": "fe486d107eb3bb3406b3d824de6741023ed0224b7ffed87b38612ab470ba397f",
+    "z12": "69a3f60d0628bca443d0b1117be3600ae21c713f62ade64f9113087e92bb4208",
+    "z12~": "bb522df8130bb645856a532ff1a9d0be29e724d24399cc6426fb228443cf3eca",
+    "z13": "102e2e07fd9d185df16607771361913880d795bb926357d0eef1311b1fc6f7ae",
+    "z13~": "ff687806336f64094e3ce3f23ad1ae03578e9dfc6295811337db233b74adc68f",
+    "z14": "83bd423b2b3da7e107bd53679c2d5e9bc8769d3fb5b07b404cb7ccf73a21eb55",
+    "z14~": "75889b6dbb264766bf711686d63346a7133e154c72eb08ea30cd086e958ec894",
+    "z15": "21c17eccfa8e74cf362de755d2eb36636a97535be24dea86dead3cfd792bbc6d",
+    "z15~": "9bcf297e044923a54188b52dad73b4e4bfa75c2e820438f4e33280696e58c8cd",
+    "z16": "14dc00eae720655994f01f82cd6a8a2114de0c6465d57b3374aaaccf34eba637",
+    "z16~": "84c79822fa6f0de08afe0e0309b65edb147fe0005c9780d75a96da828848e511",
+    "z1~": "d9ba81015c0293e145d0d0d6b4dbd2e74e47acf03e81d8d44337784cd9c33eb1",
+    "z2": "7396040c59ad5766d4404bd9a33f52b78659e19a3bc5191b4d67444f8191d370",
+    "z2xz2": "0d5b5e587fcb7f6dfc265a44396e073c0d4ea2bfa5faa24486943015680c476f",
+    "z2xz2~": "0d5b5e587fcb7f6dfc265a44396e073c0d4ea2bfa5faa24486943015680c476f",
+    "z2~": "7396040c59ad5766d4404bd9a33f52b78659e19a3bc5191b4d67444f8191d370",
+    "z3": "4a2d81be86c414f1040cd455ab9967f828f6aa97f5eb75c0ecaa4c91dc2d9c9f",
+    "z3~": "4a2d81be86c414f1040cd455ab9967f828f6aa97f5eb75c0ecaa4c91dc2d9c9f",
+    "z4": "dd1853e6017dcf61fb89a93b01400f73c9ed3e25a3bb66fdb0398d428a191d39",
+    "z4~": "dd1853e6017dcf61fb89a93b01400f73c9ed3e25a3bb66fdb0398d428a191d39",
+    "z5": "58320be26e01a639bacd502f9bd8b8c11c1ddecb22086a8db022873190009635",
+    "z5~": "cac9fe07884a7aa51419a3fb42fca01d8a8ad9779646a31e70def5f1f98d77aa",
+    "z6": "cea6386f81993e6d6eedac051f9e3a37c340c6b0872a16ff2a2509de0a1ec1c6",
+    "z6~": "9a2adac49f173267d84c45482e617b8966f9a42be362c29701f429fedacf762c",
+    "z7": "21593daeb130fc44bd222be86a135d75337efd21c4ac6036fa62ff1dcf8fb313",
+    "z7~": "c720362184cd5fa763dd50f4327a1f53ae13cfeac46742f1914de1a2fd13da60",
+    "z8": "db2161e6a2ac07032ed102c37005762c954aedd09cbcff96d56ff4bb6a96b6e7",
+    "z8~": "b834a3393c2616339efcc73d546cc8fed3d589141d7e9649b07eae1e5a283a94",
+    "z9": "3f4394b332aa43d46d1ac70fd588406ae150774672505c3bee20674342de7784",
+    "z9~": "c1d7909aa9eed8ea065c4aa2a2c4cee4caa09f9fae63e65018652992114e8ae5",
+}
+
+# sha256 over the su2k(1..60) tensors, recorded from the cell-by-cell loop
+SU2K_HASH = "11b442f44e1428d02a689ebe1a69c7d04aa57cf123a0caeaa7b972b42df4014f"
+
+
+class TestFrozenParity:
+    def test_group_layer(self):
+        digests = {name: _group_layer_digest(g) for name, g in _parity_groups().items()}
+        assert digests == GROUP_LAYER_HASHES
+
+    def test_su2k_tensors(self):
+        assert _digest(*(su2k(k).tensor for k in range(1, 61))) == SU2K_HASH
+
+    def test_subgroup_errors(self):
+        g = symmetric(3)
+        with pytest.raises(StructuralError, match=r"^subgroup must contain the identity$"):
+            g.subgroup([1, 2])
+        with pytest.raises(StructuralError, match=r"^element set is not closed under multiplication$"):
+            g.subgroup([0, 1, 2])
