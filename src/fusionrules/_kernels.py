@@ -58,10 +58,23 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
 #            whose assignment completes it (the explorer keeps one quadruple of
 #            each dual-mirror pair, whose equations coincide on dual-symmetric
 #            tensors)
+#   symmetries  cell maps P of relabellings that fix the dual: the relabelled
+#            tensor is T[P[c]] at each flat cell c.  May be empty.
 #
 # The search assigns orbits in order with values 0..max_val and prunes on the
-# first violated quadruple of the orbit just assigned.  Solutions are complete
-# flattened tensors as tuples, in search order.
+# first violated quadruple of the orbit just assigned, then on the first
+# symmetry under which the partial tensor cannot be lex-least.  Solutions are
+# the complete flattened tensors T with T <= PT for every P, as tuples, in
+# search order.
+#
+# The lex-leader test walks the cells in flat order and compares T[c] with
+# T[P[c]] while both are known; the first difference decides, so T > PT on
+# that prefix rules out every completion.  Which cells are known after orbit t
+# does not depend on the values, so each prefix is compiled once: it grows by
+# the cells that orbit t makes comparable, and a symmetry is checked at t only
+# if its prefix grew.  Cells whose two sides always hold the same value (both
+# forced equal, or one orbit) are left out.  A check is one tuple comparison
+# of two itemgetters.
 #
 # Each quadruple is compiled once per call.  Its left side pairs the cells
 # (i, j, m) and (m, k, l), its right side (j, k, m) and (i, m, l).  A term with
@@ -106,6 +119,22 @@ def search_tensors(plan, max_val, rank):
         if lhs != rhs:
             checks[t].append(getters(lhs - rhs) + getters(rhs - lhs))
 
+    known_at = [-1] * cells
+    for t, (a, b) in enumerate(zip(oa, ob)):
+        known_at[a] = known_at[b] = t
+    lex = [[] for _ in oa]
+    for p in plan.symmetries:
+        steps = []  # (orbit after which the flat prefix up to c is known, c)
+        ready = 0
+        for c in range(cells):
+            ready = max(ready, known_at[c], known_at[p[c]])
+            if stand_in[c] != stand_in[p[c]]:
+                steps.append((ready, c))
+        for n, (t, _) in enumerate(steps):
+            if n + 1 == len(steps) or steps[n + 1][0] > t:
+                prefix = [c for _, c in steps[: n + 1]]
+                lex[t].append((itemgetter(*prefix), itemgetter(*(p[c] for c in prefix))))
+
     last = len(oa) - 1
     vals = [-1] * len(oa)
     solutions = []
@@ -122,8 +151,12 @@ def search_tensors(plan, max_val, rank):
             if sum(map(mul, ga(tensor), gb(tensor))) != sum(map(mul, gc(tensor), gd(tensor))):
                 break
         else:
-            if t == last:
-                solutions.append(tuple(tensor[:cells]))
+            for ga, gb in lex[t]:
+                if ga(tensor) > gb(tensor):
+                    break
             else:
-                t += 1
+                if t == last:
+                    solutions.append(tuple(tensor[:cells]))
+                else:
+                    t += 1
     return solutions

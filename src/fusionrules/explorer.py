@@ -5,13 +5,22 @@ equivalence and weak integrality on everything enumerated.
 The search fixes a dual involution, forces the unit and vacuum-channel
 entries, groups the remaining tensor cells into orbits of the dual symmetry,
 and backtracks over orbit values checking each associativity quadruple as soon
-as its last cell is assigned.  Emission order is lexicographic on the
-flattened tensor (then on the dual map), independent of internals.
+as its last cell is assigned.
+
+Relabelling the non-vacuum labels is a symmetry of the problem, and it acts on
+the dual maps by conjugation; the class of a dual map is its number of
+transposed pairs.  Only one dual map per class is searched, the one with its
+pairs first, and its search keeps only tensors that are lex-least under the
+relabellings fixing that dual.  Every requested dual map of the class is then
+recovered by relabelling those representatives.  Emission order is
+lexicographic on the flattened tensor (then on the dual map), independent of
+internals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from itertools import product as iproduct
 from typing import Iterator
 
@@ -36,7 +45,8 @@ class EnumSpec:
     ``bare_axioms`` drops the imposed single-vacuum-channel condition and
     enumerates under the bare axiom set, where ``N[i,j,0]`` is free for
     ``j != dual(i)``; distinct (dual, tensor) pairs then count separately.
-    ``allow_large`` overrides the rank/multiplicity caps.
+    ``allow_large`` overrides the rank/multiplicity caps.  ``dual_maps``
+    restricts the census to the given dual maps, each named at most once.
     """
 
     rank: int
@@ -55,8 +65,10 @@ class EnumSpec:
             )
         if self.dual_maps is not None:
             duals = tuple(tuple(int(x) for x in d) for d in self.dual_maps)
-            for d in duals:
+            for n, d in enumerate(duals):
                 _check_involution(d, self.rank)
+                if d in duals[:n]:
+                    raise StructuralError(f"dual map {d} is repeated")
             object.__setattr__(self, "dual_maps", duals)
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be non-negative")
@@ -86,17 +98,52 @@ def _involutions(rank: int) -> list[tuple[int, ...]]:
     return sorted(tuple([0] + [m[i] for i in range(1, rank)]) for m in maps)
 
 
+def _representative(rank: int, pairs: int) -> tuple[int, ...]:
+    """The dual map with ``pairs`` transposed pairs, ``1 <-> 2``, ``3 <-> 4``, ...;
+    searching the pairs first visits the fewest nodes."""
+    dual = list(range(rank))
+    for a in range(1, 2 * pairs, 2):
+        dual[a], dual[a + 1] = a + 1, a
+    return tuple(dual)
+
+
+def _relabellings(rank: int) -> list[tuple[int, ...]]:
+    """Every permutation of 0..rank-1 fixing 0, the identity first."""
+    return [(0, *p) for p in permutations(range(1, rank))]
+
+
+def _conjugate(perm: tuple[int, ...], dual: tuple[int, ...]) -> tuple[int, ...]:
+    """The dual map after relabelling ``a`` as ``perm[a]``."""
+    out = [0] * len(dual)
+    for a, b in enumerate(dual):
+        out[perm[a]] = perm[b]
+    return tuple(out)
+
+
+def _cell_map(perm: tuple[int, ...]) -> list[int]:
+    """Flat cell indices ``P`` such that relabelling ``a`` as ``perm[a]`` takes
+    the flat tensor ``T`` to ``[T[P[c]] for c in cells]``."""
+    r = len(perm)
+    out = [0] * r**3
+    for i, j, k in iproduct(range(r), repeat=3):
+        out[(perm[i] * r + perm[j]) * r + perm[k]] = (i * r + j) * r + k
+    return out
+
+
 @dataclass
 class _SearchPlan:
     base: list[int]
     orbit_a: list[int]
     orbit_b: list[int]
     quads: list[tuple[int, int, int, int, int]]
+    symmetries: list[list[int]]
 
 
 def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan:
-    """Forced cells, free orbits, and the associativity quadruples, each as
-    ``(t, i, j, k, l)`` with ``t`` the orbit whose assignment completes it."""
+    """Forced cells, free orbits, the associativity quadruples, each as
+    ``(t, i, j, k, l)`` with ``t`` the orbit whose assignment completes it, and
+    the cell map of every relabelling other than the identity that fixes
+    ``dual``; the search keeps only the tensors lex-least under those."""
     r = rank
 
     def flat(i, j, k):
@@ -140,25 +187,41 @@ def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan
                 for cell in (flat(i, j, m), flat(m, k, l), flat(j, k, m), flat(i, m, l))
             )
             quads.append((t, i, j, k, l))
-    return _SearchPlan(base=base, orbit_a=orbit_a, orbit_b=orbit_b, quads=quads)
+    symmetries = [_cell_map(p) for p in _relabellings(r)[1:] if _conjugate(p, dual) == dual]
+    return _SearchPlan(
+        base=base, orbit_a=orbit_a, orbit_b=orbit_b, quads=quads, symmetries=symmetries
+    )
 
 
 def enumerate_rules(spec: EnumSpec) -> Iterator[FusionRule]:
     """Yield every valid fusion rule within the bounds, each exactly once,
     ordered lexicographically by flattened tensor (then dual map)."""
-    duals = spec.dual_maps if spec.dual_maps is not None else _involutions(spec.rank)
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    r = spec.rank
+    duals = spec.dual_maps if spec.dual_maps is not None else _involutions(r)
+    classes: dict[int, set[tuple[int, ...]]] = {}
     for dual in duals:
-        plan = _prepare(spec.rank, dual, spec.bare_axioms)
-        found.extend((t, dual) for t in _kernels.search_tensors(plan, spec.max_mult, spec.rank))
+        classes.setdefault(sum(a != b for a, b in enumerate(dual)) // 2, set()).add(dual)
 
-    found.sort()
+    # every rule of a class is a relabelling of one lex-least representative;
+    # relabellings by automorphisms of a rule give it again, so the set dedupes
+    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for pairs, wanted in sorted(classes.items()):
+        rep = _representative(r, pairs)
+        plan = _prepare(r, rep, spec.bare_axioms)
+        reps = _kernels.search_tensors(plan, spec.max_mult, r)
+        for perm in _relabellings(r):
+            dual = _conjugate(perm, rep)
+            if dual in wanted:
+                cells = _cell_map(perm)
+                found.update((tuple(map(t.__getitem__, cells)), dual) for t in reps)
+
+    rules = sorted(found)
     if not spec.bare_axioms:
         # the vacuum column pins the dual, so tensors cannot repeat across duals
-        assert len({t for t, _ in found}) == len(found)
+        assert len({t for t, _ in rules}) == len(rules)
 
     labels = default_labels(spec.rank)
-    for tensor_flat, dual in found[:spec.limit]:
+    for tensor_flat, dual in rules[:spec.limit]:
         tensor = np.array(tensor_flat, dtype=np.int64).reshape(spec.rank, spec.rank, spec.rank)
         yield FusionRule(labels=labels, dual=dual, tensor=tensor)
 

@@ -213,7 +213,7 @@ def character_table(group: FiniteGroup, tolerance: float = 1e-6) -> CharacterTab
                 rows.append((int(round(d)), chi))
             if sum(d * d for d, _ in rows) != n:
                 raise NumericalError("degrees do not sum to the group order")
-            table = np.array([chi for _, chi in sorted(rows, key=_row_sort_key)])
+            table = _sorted_rows(rows)
             degrees = tuple(sorted(d for d, _ in rows))
             gram = (table * sizes) @ table.conj().T
             err = float(np.abs(gram - n * np.eye(k)).max())
@@ -229,10 +229,17 @@ def character_table(group: FiniteGroup, tolerance: float = 1e-6) -> CharacterTab
     )
 
 
-def _row_sort_key(row):
-    degree, chi = row
-    # trivial character (all entries 1) sorts first within degree 1
-    return (degree, tuple((-round(z.real, 6), -round(z.imag, 6)) for z in chi))
+def _sorted_rows(rows) -> np.ndarray:
+    """The characters ``chi`` of the ``(degree, chi)`` rows, by degree, then by
+    ``(-Re, -Im)`` of each entry rounded to 6 places (the trivial character
+    first within degree 1); ties keep their order."""
+    chis = np.array([chi for _, chi in rows])
+    keys = np.empty((chis.shape[1], 2, len(rows)))
+    keys[:, 0] = -np.round(chis.real, 6).T
+    keys[:, 1] = -np.round(chis.imag, 6).T
+    # np.lexsort sorts on its last key first
+    order = np.lexsort([*keys.reshape(-1, len(rows))[::-1], [d for d, _ in rows]])
+    return chis[order]
 
 
 # --- catalogue -----------------------------------------------------------------

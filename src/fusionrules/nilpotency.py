@@ -54,7 +54,7 @@ def is_closed(rule: FusionRule, members) -> bool:
     inside[idx] = True
     if not inside[np.array(rule.dual)[idx]].all():
         return False
-    return not any(rule.tensor[i][idx][:, ~inside].any() for i in idx)
+    return not rule.tensor[np.ix_(idx, idx, np.flatnonzero(~inside))].any()
 
 
 def closure(rule: FusionRule, seed=()) -> LabelSet:

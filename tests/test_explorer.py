@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -8,12 +9,13 @@ from fusionrules import (
     CapacityError,
     EnumSpec,
     StructuralError,
+    _kernels,
     enumerate_rules,
     is_acyclic,
     survey,
     validate,
 )
-from fusionrules.explorer import _involutions, _prepare
+from fusionrules.explorer import _involutions, _prepare, _representative
 
 from oracles import naive_census
 
@@ -28,13 +30,20 @@ KNOWN_COUNTS = {
     (3, 2): 13,
     (4, 1): 34,
     (4, 2): 121,
+    (4, 3): 250,
+    (5, 1): 198,
 }
 
 # sha256 over the emitted stream, json(dual) + tensor bytes per rule, recorded
-# from the search that re-derived each quadruple's flat indices per check
+# from the search that re-derived each quadruple's flat indices per check (the
+# rank-4 entries) and from the search of every dual map without relabelling
+# (the others).  The same digest at (5, 2, False), outside the tests, is
+# d070c2cd6f67dd4ed96df0385ae1772a9cfd69b5f43ae95038e8376db852f2e8.
 STREAM_HASHES = {
     (4, 2, False): "57801e140c0e3d84784485f05c1d11d5f982040cc4f0221604417b8e030d1451",
     (4, 1, True): "de9bc3caa433d5eba9eb764d08261700dc7bf5b23e35fad5c1b606e8e01c2613",
+    (4, 3, False): "bcb35f371f7703a1c12eb49207ebb2fda793986861c890d21c533be26e83e088",
+    (5, 1, False): "073f757519f57aee35688453d754b03f6ad6f3dc8960aa5d461779cc075d9ddb",
 }
 
 # associativity quadruples per dual map at rank 4 after the mirror dedupe
@@ -97,11 +106,44 @@ class TestEnumerate:
         everything = list(enumerate_rules(EnumSpec(rank=3, max_mult=2)))
         assert len(rules) == sum(1 for r in everything if r.dual == swap)
 
+    @pytest.mark.parametrize("rank,max_mult,dual", [(4, 2, (0, 1, 3, 2)), (5, 1, (0, 1, 4, 3, 2))])
+    def test_non_representative_dual_map(self, rank, max_mult, dual):
+        # the map is searched through its class representative and relabelled
+        assert dual != _representative(rank, 1)
+        rules = [as_key(r) for r in enumerate_rules(EnumSpec(rank, max_mult, dual_maps=(dual,)))]
+        everything = enumerate_rules(EnumSpec(rank, max_mult))
+        assert rules
+        assert rules == [as_key(r) for r in everything if r.dual == dual]
+
+    def test_one_representative_per_isomorphism_class(self):
+        # canonical form: the least (dual, tensor) over every relabelling,
+        # with new label b the old label q[b]
+        def canonical(rule):
+            forms = []
+            for q in itertools.permutations(range(1, 4)):
+                q = (0, *q)
+                p = np.argsort(q)
+                dual = tuple(int(p[rule.dual[a]]) for a in q)
+                forms.append((dual, rule.tensor[np.ix_(q, q, q)].tobytes()))
+            return min(forms)
+
+        classes = {canonical(r) for r in enumerate_rules(EnumSpec(rank=4, max_mult=2))}
+        plans = [_prepare(4, _representative(4, p), False) for p in (0, 1)]
+        reps = sum(len(_kernels.search_tensors(plan, 2, 4)) for plan in plans)
+        assert len(classes) == reps == 27
+
     def test_bad_dual_map_rejected(self):
         with pytest.raises(StructuralError):
             EnumSpec(rank=3, dual_maps=((0, 1, 1),))
         with pytest.raises(StructuralError):
             EnumSpec(rank=3, dual_maps=((1, 0, 2),))
+
+    @pytest.mark.parametrize("bare_axioms", [False, True])
+    def test_repeated_dual_map_rejected(self, bare_axioms):
+        with pytest.raises(StructuralError, match="repeated"):
+            EnumSpec(rank=3, dual_maps=((0, 2, 1), (0, 2, 1)), bare_axioms=bare_axioms)
+        with pytest.raises(StructuralError, match="repeated"):
+            EnumSpec(rank=4, dual_maps=((0, 1, 2, 3), (0, 2, 1, 3), [0, 1, 2, 3]))
 
     def test_caps(self):
         with pytest.raises(CapacityError):
