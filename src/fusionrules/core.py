@@ -123,10 +123,11 @@ class ValidationReport:
         )
 
 
-# One sparse term (expand, sort, reduce) costs about 40-55 ns and one BLAS
-# multiply-add about 0.07-0.14 ns on a 2-core machine, so the sparse path
-# wins when this many times its term count is below the dense 2 * rank**5.
-_SPARSE_TERM_COST = 500
+# One sparse term (expand, sort, reduce) costs about 25-65 ns and one float32
+# BLAS multiply-add about 0.025-0.045 ns at rank 30-70 on one core, so the
+# sparse path wins when this many times its term count is below the dense
+# 2 * rank**5 (measured crossover: 2 * rank**5 / terms near 1,400-1,700).
+_SPARSE_TERM_COST = 1500
 
 
 def _associativity_defects(N: np.ndarray):
@@ -156,15 +157,24 @@ def _associativity_defects(N: np.ndarray):
 
 
 def _assoc_dense(N: np.ndarray):
-    """Float64 BLAS products one ``i`` at a time (rank**3 memory), exact
-    within the 2**53 guard of ``_associativity_defects``."""
+    """BLAS products one ``i`` at a time (rank**3 memory).
+
+    Every product and partial sum is an integer in ``[0, rank * max(N)**2]``,
+    whatever order BLAS adds in, so float32 is exact while that bound is at
+    most 2**24 and float64 within the 2**53 guard of
+    ``_associativity_defects``.  A slab whose two sides are equal holds no
+    defect and is skipped before the subtraction and the scan.
+    """
     r = N.shape[0]
-    Nf = N.astype(np.float64)
+    exact32 = r * int(N.max()) ** 2 <= 2**24
+    Nf = N.astype(np.float32 if exact32 else np.float64)
     by_m = Nf.reshape(r, r * r)      # m -> (k, l)
     to_m = Nf.reshape(r * r, r)      # (j, k) -> m
     for i in range(r):
         lhs = (Nf[i] @ by_m).reshape(r, r, r)
         rhs = (to_m @ Nf[i]).reshape(r, r, r)
+        if np.array_equal(lhs, rhs):
+            continue
         block = lhs - rhs
         for idx in np.argwhere(block != 0):
             j, k, l = (int(x) for x in idx)

@@ -50,6 +50,24 @@ _FOUR_INTS = [int] * 4
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+def _is_plain(record) -> bool:
+    return type(record) is list and list(map(type, record)) == _FOUR_INTS
+
+
+def _plain_prefix(records: list) -> int:
+    """Length of the leading run of records that are lists of four ``int``s.
+
+    Three set scans run in C; only when one fails does the per-record scan
+    look for the first failing record."""
+    if (
+        set(map(type, records)) <= {list}
+        and set(map(len, records)) <= {4}
+        and set(map(type, chain.from_iterable(records))) <= {int}
+    ):
+        return len(records)
+    return next(n for n, rec in enumerate(records) if not _is_plain(rec))
+
+
 def _int64_rows(records: list) -> np.ndarray:
     return np.fromiter(chain.from_iterable(records), np.int64, 4 * len(records)).reshape(-1, 4)
 
@@ -58,7 +76,7 @@ def _record_fault(record, rank: int) -> str:
     """Why a fusion record fails, for the first failing record of a file:
     a well-formed, in-range record with a positive multiplicity that fits in
     int64 fails only as a repeat of an earlier record."""
-    if not (type(record) is list and list(map(type, record)) == _FOUR_INTS):
+    if not _is_plain(record):
         return f"fusion record {record!r} is not a list of 4 integers"
     i, j, k, mult = record
     if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
@@ -92,9 +110,8 @@ def rule_from_dict(data: dict) -> FusionRule:
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     records = data["fusion"]
     _require(isinstance(records, list), "fusion must be a list of [i,j,k,mult] records")
-    # the one pass over the records; everything after it works on arrays
-    plain = [type(rec) is list and list(map(type, rec)) == _FOUR_INTS for rec in records]
-    stop = plain.index(False) if False in plain else len(plain)
+    # the shape checks on the records; everything after them works on arrays
+    stop = _plain_prefix(records)
     try:
         arr = _int64_rows(records[:stop])
     except OverflowError:  # the array part ends before the first value outside int64

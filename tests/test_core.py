@@ -14,10 +14,12 @@ from fusionrules import (
     core,
     cyclic,
     drinfeld_double,
+    dump_rule,
     enumerate_rules,
     fp_dimensions,
     is_acyclic,
     named_fixture,
+    parse_rule,
     pointed,
     product,
     su2k,
@@ -188,6 +190,20 @@ class TestValidate:
         assert list(_associativity_defects(t)) == expected
         assert list(_assoc_sparse(t)) == expected
         assert list(_assoc_dense(t)) == expected
+
+    def test_exact_at_the_float32_bound(self):
+        # rank 4 * (2**11)**2 = 2**24, the largest bound the dense path runs in
+        # float32.  lhs(1,1,2,3) = top * (4*top - 1) and its rhs is 0: above
+        # 2**23 at top = 2**11, and past 2**24 and odd one entry higher, where
+        # float32 would round, so that tensor has to take float64.
+        for top in (2**11, 2**11 + 1):
+            t = np.zeros((4, 4, 4), dtype=np.int64)
+            t[1, 1] = (top, top, top, top - 1)
+            t[:, 2, 3] = top
+            expected = associativity_defect_list(t)
+            assert (1, 1, 2, 3, top * (4 * top - 1)) in expected
+            assert list(_assoc_dense(t)) == expected
+            assert list(_associativity_defects(t)) == expected
 
     def test_double_of_z16_is_valid(self):
         # rank 256 at 0.4% density: affordable only on the sparse path
@@ -391,3 +407,20 @@ class TestProduct:
         for a in small:
             for b in small:
                 assert validate(product(a, b)).valid
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_product_properties(self, corpus, data):
+        # factors from the corpus, which holds the pointed rules of every
+        # built-in group and SU(2)_k up to k = 20; products up to rank 48 take
+        # both associativity paths (pointed ones of rank 40 and up the sparse one)
+        names = sorted(corpus)
+        a = corpus[data.draw(st.sampled_from(names), label="a")]
+        b = corpus[data.draw(st.sampled_from(
+            [n for n in names if a.rank * corpus[n].rank <= 48]), label="b")]
+        prod = product(a, b)
+        assert prod.rank == a.rank * b.rank
+        assert parse_rule(dump_rule(prod)) == prod
+        assert validate(prod).valid
+        da, db, dp = fp_dimensions(a), fp_dimensions(b), fp_dimensions(prod)
+        assert np.allclose(dp.dims, np.outer(da.dims, db.dims).ravel(), rtol=1e-6, atol=0)
