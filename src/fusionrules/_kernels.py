@@ -51,9 +51,10 @@ def power_radius(mat: np.ndarray, threshold: float, max_iter: int):
 #
 # The plan (prepared by the explorer module) is plain Python:
 #   base     the flattened tensor as a list, forced cells filled, free cells -1
-#   orbit_a  flat index of each free orbit's representative cell
-#   orbit_b  flat index of its duality-mirror cell (== orbit_a for self-paired
-#            cells); assigning orbit t writes both cells
+#   orbit_a  flat index of each free orbit's representative cell, its least
+#   orbit_b  the tuple of the orbit's other cells (its dual mirror and, with a
+#            unique vacuum channel, its reciprocity images; empty for a 1-cell
+#            orbit); assigning orbit t writes every cell of the orbit
 #   quads    one (t, i, j, k, l) per associativity quadruple, with t the orbit
 #            whose assignment completes it (the explorer keeps one quadruple of
 #            each dual-mirror pair, whose equations coincide on dual-symmetric
@@ -98,8 +99,9 @@ def search_tensors(plan, max_val, rank):
         return [tuple(plan.base)]
     tensor = plan.base + [0]
     stand_in = [c if x < 0 else tensor.index(x) for c, x in enumerate(tensor)]
-    for a, b in zip(oa, ob):
-        stand_in[b] = a
+    for a, others in zip(oa, ob):
+        for b in others:
+            stand_in[b] = a
 
     def side(pairs):
         return Counter(
@@ -120,8 +122,9 @@ def search_tensors(plan, max_val, rank):
             checks[t].append(getters(lhs - rhs) + getters(rhs - lhs))
 
     known_at = [-1] * cells
-    for t, (a, b) in enumerate(zip(oa, ob)):
-        known_at[a] = known_at[b] = t
+    for t, (a, others) in enumerate(zip(oa, ob)):
+        for c in (a, *others):
+            known_at[c] = t
     lex = [[] for _ in oa]
     for p in plan.symmetries:
         steps = []  # (orbit after which the flat prefix up to c is known, c)
@@ -133,7 +136,14 @@ def search_tensors(plan, max_val, rank):
         for n, (t, _) in enumerate(steps):
             if n + 1 == len(steps) or steps[n + 1][0] > t:
                 prefix = [c for _, c in steps[: n + 1]]
-                lex[t].append((itemgetter(*prefix), itemgetter(*(p[c] for c in prefix))))
+                images = [p[c] for c in prefix]
+                if len(prefix) == 20:
+                    # CPython 3.11 keeps every freed 20-item tuple on a free
+                    # list it never reuses (up to 2000, 0.35 MiB); pad with
+                    # the always-zero cell to 21 items
+                    prefix.append(cells)
+                    images.append(cells)
+                lex[t].append((itemgetter(*prefix), itemgetter(*images)))
 
     last = len(oa) - 1
     vals = [-1] * len(oa)
@@ -146,7 +156,9 @@ def search_tensors(plan, max_val, rank):
             t -= 1
             continue
         vals[t] = v
-        tensor[oa[t]] = tensor[ob[t]] = v
+        tensor[oa[t]] = v
+        for c in ob[t]:
+            tensor[c] = v
         for ga, gb, gc, gd in checks[t]:
             if sum(map(mul, ga(tensor), gb(tensor))) != sum(map(mul, gc(tensor), gd(tensor))):
                 break

@@ -3,9 +3,11 @@ multiplicity, plus the survey that cross-checks the acyclic/nilpotent
 equivalence and weak integrality on everything enumerated.
 
 The search fixes a dual involution, forces the unit and vacuum-channel
-entries, groups the remaining tensor cells into orbits of the dual symmetry,
-and backtracks over orbit values checking each associativity quadruple as soon
-as its last cell is assigned.
+entries, groups the remaining tensor cells into orbits on which every valid
+rule is constant, and backtracks over orbit values checking each associativity
+quadruple as soon as its last cell is assigned.  The orbits are those of the
+dual mirror and, with a unique vacuum channel, of Frobenius reciprocity, up to
+six cells each (see ``_prepare``).
 
 Relabelling the non-vacuum labels is a symmetry of the problem, and it acts on
 the dual maps by conjugation; the class of a dual map is its number of
@@ -134,7 +136,7 @@ def _cell_map(perm: tuple[int, ...]) -> list[int]:
 class _SearchPlan:
     base: list[int]
     orbit_a: list[int]
-    orbit_b: list[int]
+    orbit_b: list[tuple[int, ...]]
     quads: list[tuple[int, int, int, int, int]]
     symmetries: list[list[int]]
 
@@ -143,7 +145,15 @@ def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan
     """Forced cells, free orbits, the associativity quadruples, each as
     ``(t, i, j, k, l)`` with ``t`` the orbit whose assignment completes it, and
     the cell map of every relabelling other than the identity that fixes
-    ``dual``; the search keeps only the tensors lex-least under those."""
+    ``dual``; the search keeps only the tensors lex-least under those.
+
+    The free orbits are the reciprocity orbits: every valid rule has the dual
+    mirror ``N_ij^k = N_{j*i*}^{k*}``, and with the vacuum column forced to
+    ``N_ij^0 = [j = i*]`` the quadruple ``(i, j, k*, 0)`` reads
+    ``N_ij^k = N_{jk*}^{i*}`` (Frobenius reciprocity).  Under ``bare_axioms``
+    ``N_ij^0`` is free, reciprocity does not follow, and the orbits are the
+    mirror pairs.  Each orbit is its least cell (``orbit_a``) and the tuple of
+    its other cells (``orbit_b``)."""
     r = rank
 
     def flat(i, j, k):
@@ -160,16 +170,27 @@ def _prepare(rank: int, dual: tuple[int, ...], bare_axioms: bool) -> _SearchPlan
             for j in range(1, r):
                 base[flat(i, j, 0)] = int(j == dual[i])
 
+    # the mirror (i, j, k) -> (j*, i*, k*) and reciprocity (i, j, k) -> (j, k*, i*)
+    # generate the six images below; both keep i, j, k >= 1, so an orbit of a
+    # free cell holds only free cells
+    def orbit(i, j, k):
+        di, dj, dk = dual[i], dual[j], dual[k]
+        cells = {(i, j, k), (dj, di, dk)}
+        if not bare_axioms:
+            cells |= {(j, dk, di), (dk, i, dj), (k, dj, i), (di, k, j)}
+        return sorted(flat(*c) for c in cells)
+
     pos = [-1] * r**3
     orbit_a: list[int] = []
-    orbit_b: list[int] = []
+    orbit_b: list[tuple[int, ...]] = []
     for i, j, k in iproduct(range(r), repeat=3):
         cell = flat(i, j, k)
         if base[cell] == -1 and pos[cell] == -1:
-            mirror = flat(dual[j], dual[i], dual[k])
-            pos[cell] = pos[mirror] = len(orbit_a)
+            cells = orbit(i, j, k)
+            for c in cells:
+                pos[c] = len(orbit_a)
             orbit_a.append(cell)
-            orbit_b.append(mirror)
+            orbit_b.append(tuple(cells[1:]))
 
     # quadruples with any of i, j, k at the vacuum reduce to identities once
     # the unit rows are forced, so only i, j, k >= 1 need checking; their cell

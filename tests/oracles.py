@@ -282,13 +282,13 @@ def search_tensors_reference(plan, max_val, rank):
         v = vals[t] + 1
         if v > max_val:
             vals[t] = -1
-            tensor[oa[t]] = -1
-            tensor[ob[t]] = -1
+            for c in (oa[t], *ob[t]):
+                tensor[c] = -1
             t -= 1
             continue
         vals[t] = v
-        tensor[oa[t]] = v
-        tensor[ob[t]] = v
+        for c in (oa[t], *ob[t]):
+            tensor[c] = v
         ok = True
         for i, j, k, l in buckets[t]:
             s = 0

@@ -32,18 +32,19 @@ KNOWN_COUNTS = {
     (4, 2): 121,
     (4, 3): 250,
     (5, 1): 198,
+    (5, 2): 776,
 }
 
 # sha256 over the emitted stream, json(dual) + tensor bytes per rule, recorded
 # from the search that re-derived each quadruple's flat indices per check (the
 # rank-4 entries) and from the search of every dual map without relabelling
-# (the others).  The same digest at (5, 2, False), outside the tests, is
-# d070c2cd6f67dd4ed96df0385ae1772a9cfd69b5f43ae95038e8376db852f2e8.
+# (the others).
 STREAM_HASHES = {
     (4, 2, False): "57801e140c0e3d84784485f05c1d11d5f982040cc4f0221604417b8e030d1451",
     (4, 1, True): "de9bc3caa433d5eba9eb764d08261700dc7bf5b23e35fad5c1b606e8e01c2613",
     (4, 3, False): "bcb35f371f7703a1c12eb49207ebb2fda793986861c890d21c533be26e83e088",
     (5, 1, False): "073f757519f57aee35688453d754b03f6ad6f3dc8960aa5d461779cc075d9ddb",
+    (5, 2, False): "d070c2cd6f67dd4ed96df0385ae1772a9cfd69b5f43ae95038e8376db852f2e8",
 }
 
 # associativity quadruples per dual map at rank 4 after the mirror dedupe
@@ -53,6 +54,28 @@ RANK4_QUADS = {(0, 1, 2, 3): 72, (0, 1, 3, 2): 57, (0, 2, 1, 3): 57, (0, 3, 2, 1
 
 def as_key(rule):
     return rule.dual, rule.tensor.tobytes()
+
+
+def orbit_cells(plan):
+    """The cells of each free orbit of a plan, its representative first."""
+    return [(a, *others) for a, others in zip(plan.orbit_a, plan.orbit_b)]
+
+
+def orbit_pos(plan):
+    """The orbit of each flat cell, -1 for forced cells."""
+    pos = np.full(len(plan.base), -1)
+    for t, cells in enumerate(orbit_cells(plan)):
+        pos[list(cells)] = t
+    return pos
+
+
+def assert_reciprocity_orbits(rule, name=None):
+    # N_ij^k = N_{j k*}^{i*} = N_{j* i*}^{k*}, the two maps the search's orbits
+    # are closed under
+    N, d = rule.tensor, np.array(rule.dual)
+    i, j, k = np.indices(N.shape)
+    assert np.array_equal(N, N[j, d[k], d[i]]), name
+    assert np.array_equal(N, N[d[j], d[i], d[k]]), name
 
 
 class TestEnumerate:
@@ -173,8 +196,7 @@ class TestEnumerate:
         r = 4
         for dual in _involutions(r):
             plan = _prepare(r, dual, bare_axioms)
-            pos = np.full(r**3, -1)
-            pos[plan.orbit_a] = pos[plan.orbit_b] = np.arange(len(plan.orbit_a))
+            pos = orbit_pos(plan)
             bucket = {q[1:]: q[0] for q in plan.quads}
             assert len(bucket) == len(plan.quads) == RANK4_QUADS[dual]
             for i, j, k, l in np.ndindex(r, r, r, r):
@@ -197,8 +219,7 @@ class TestEnumerate:
         for r in range(2, 6):
             for dual in _involutions(r):
                 plan = _prepare(r, dual, bare_axioms)
-                pos = np.full(r**3, -1)
-                pos[plan.orbit_a] = pos[plan.orbit_b] = np.arange(len(plan.orbit_a))
+                pos = orbit_pos(plan)
                 for t, i, j, k, l in plan.quads:
                     cells = [
                         np.ravel_multi_index(c, (r, r, r))
@@ -208,9 +229,64 @@ class TestEnumerate:
                     assert t >= 0
                     assert t == max(pos[cells])
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_orbits_close_under_mirror_and_reciprocity(self, r):
+        # default mode: the orbits partition the free cells and are closed
+        # under both maps; bare axioms: exactly the dual-mirror pairs
+        def flat(i, j, k):
+            return (i * r + j) * r + k
+
+        for dual in _involutions(r):
+            mirror = {flat(i, j, k): flat(dual[j], dual[i], dual[k])
+                      for i, j, k in itertools.product(range(r), repeat=3)}
+            reciprocity = {flat(i, j, k): flat(j, dual[k], dual[i])
+                           for i, j, k in itertools.product(range(r), repeat=3)}
+            for bare_axioms in (False, True):
+                plan = _prepare(r, dual, bare_axioms)
+                free = [c for c, x in enumerate(plan.base) if x == -1]
+                orbits = orbit_cells(plan)
+                assert sorted(c for cells in orbits for c in cells) == free
+                assert plan.orbit_a == sorted(plan.orbit_a)
+                assert all(cells[0] == min(cells) for cells in orbits)
+                if bare_axioms:
+                    pairs = {tuple(sorted({c, mirror[c]})) for c in free}
+                    assert sorted(tuple(sorted(cells)) for cells in orbits) == sorted(pairs)
+                else:
+                    for cells in orbits:
+                        assert {mirror[c] for c in cells} == set(cells)
+                        assert {reciprocity[c] for c in cells} == set(cells)
+
     def test_bare_axioms_rank3_counts(self):
         assert sum(1 for _ in enumerate_rules(EnumSpec(rank=3, max_mult=1, bare_axioms=True))) == 9
         assert sum(1 for _ in enumerate_rules(EnumSpec(rank=3, max_mult=2, bare_axioms=True))) == 21
+
+
+class TestReciprocityOrbits:
+    """The premise of the default-mode orbits, checked on rules the search did
+    not impose them on, as well as on a census."""
+
+    def test_corpus(self, corpus):
+        unique = [
+            (name, rule) for name, rule in corpus.items()
+            if np.count_nonzero(rule.tensor[:, :, 0]) == rule.rank and validate(rule).valid
+        ]
+        assert len(unique) == len(corpus)
+        for name, rule in unique:
+            assert_reciprocity_orbits(rule, name)
+
+    def test_bare_axiom_census_with_unique_vacuum(self):
+        # the bare-axiom search orbits are only the mirror pairs
+        unique = [
+            rule for rule in enumerate_rules(EnumSpec(rank=4, max_mult=1, bare_axioms=True))
+            if np.count_nonzero(rule.tensor[:, :, 0]) == rule.rank
+        ]
+        assert len(unique) == KNOWN_COUNTS[(4, 1)]
+        for rule in unique:
+            assert_reciprocity_orbits(rule)
+
+    def test_rank4_census(self):
+        for rule in enumerate_rules(EnumSpec(rank=4, max_mult=3)):
+            assert_reciprocity_orbits(rule)
 
 
 class TestSurvey:
