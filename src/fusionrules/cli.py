@@ -39,11 +39,18 @@ def _load_group(spec: str):
     )
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _write_output(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when it is None, and
+    return the exit code: 2, with one stderr line, when the write fails."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return PARSE_ERROR
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -132,12 +139,7 @@ def cmd_graph(args) -> int:
     if not report.valid:
         print("invalid fusion rule; refusing to draw", file=sys.stderr)
         return 1
-    try:
-        _write_output(dot_graph(rule), args.dot)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    return 0
+    return _write_output(dot_graph(rule), args.dot)
 
 
 def cmd_gen(args) -> int:
@@ -167,12 +169,7 @@ def cmd_gen(args) -> int:
         rule = product(_read_rule(params[0]), _read_rule(params[1]))
     else:
         raise FusionError(f"unknown family {family!r}")
-    try:
-        _write_output(dump_rule(rule), args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    return 0
+    return _write_output(dump_rule(rule), args.out)
 
 
 def cmd_enumerate(args) -> int:

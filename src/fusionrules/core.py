@@ -135,39 +135,40 @@ def _associativity_defects(N: np.ndarray):
     lexicographic order of ``(i, j, k, l)``.
 
     Every partial sum of ``lhs = sum_m N[i,j,m] N[m,k,l]`` (and of ``rhs``) is
-    a non-negative integer no larger than ``rank * max(N)**2``; a tensor past
-    2**53 raises ``CapacityError`` on either path.  The sparse path expands
-    ``sum_m in(m) * (out(m) + mid(m))`` terms, counted over the nonzeros with
-    ``m`` as their last, first and middle index; it runs when that work is
-    cheaper than the dense path's ``2 * rank**5`` multiply-adds.
+    a non-negative integer no larger than ``rank * max(N)**2``.  That bound
+    picks the arithmetic: float32 is exact up to 2**24 and int64 up to
+    2**63 - 1, and a tensor past it raises ``CapacityError``.  The float32
+    dense path runs only within 2**24 and only when it is cheaper than the
+    int64 sparse path, which expands ``sum_m in(m) * (out(m) + mid(m))``
+    terms, counted over the nonzeros with ``m`` as their last, first and
+    middle index, against the dense path's ``2 * rank**5`` multiply-adds.
     """
     r = N.shape[0]
     top = int(N.max())
-    if r * top**2 > 2**53:
+    if r * top**2 > 2**63 - 1:
         raise CapacityError(
-            f"associativity check needs rank * max(N)**2 <= 2**53; this rank-{r} "
+            f"associativity check needs rank * max(N)**2 <= 2**63 - 1; this rank-{r} "
             f"tensor has max entry {top}"
         )
-    a, b, c = _nonzero(N)
+    nonzero = a, b, c = _nonzero(N)
     into, out, mid = (np.bincount(x, minlength=r) for x in (c, a, b))
-    if _SPARSE_TERM_COST * int(into @ (out + mid)) < 2 * r**5:
-        yield from _assoc_sparse(N)
+    if r * top**2 > 2**24 or _SPARSE_TERM_COST * int(into @ (out + mid)) < 2 * r**5:
+        yield from _assoc_sparse(N, nonzero)
     else:
         yield from _assoc_dense(N)
 
 
 def _assoc_dense(N: np.ndarray):
-    """BLAS products one ``i`` at a time (rank**3 memory).
+    """Float32 BLAS products one ``i`` at a time (rank**3 memory).
 
-    Every product and partial sum is an integer in ``[0, rank * max(N)**2]``,
-    whatever order BLAS adds in, so float32 is exact while that bound is at
-    most 2**24 and float64 within the 2**53 guard of
-    ``_associativity_defects``.  A slab whose two sides are equal holds no
-    defect and is skipped before the subtraction and the scan.
+    Exact only for ``rank * max(N)**2 <= 2**24``, the tensors
+    ``_associativity_defects`` sends here: every product and partial sum is
+    then an integer in float32's exact range, whatever order BLAS adds in.
+    A slab whose two sides are equal holds no defect and is skipped before
+    the subtraction and the scan.
     """
     r = N.shape[0]
-    exact32 = r * int(N.max()) ** 2 <= 2**24
-    Nf = N.astype(np.float32 if exact32 else np.float64)
+    Nf = N.astype(np.float32)
     by_m = Nf.reshape(r, r * r)      # m -> (k, l)
     to_m = Nf.reshape(r * r, r)      # (j, k) -> m
     for i in range(r):
@@ -195,8 +196,9 @@ def _expand(offsets: np.ndarray, m: np.ndarray):
     return n, np.repeat(offsets[m] - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
-def _assoc_sparse(N: np.ndarray):
-    """Gustavson-style int64 products over the nonzeros, one ``i`` at a time.
+def _assoc_sparse(N: np.ndarray, nonzero):
+    """Gustavson-style int64 products over the nonzeros, one ``i`` at a time;
+    ``nonzero`` is ``_nonzero(N)``, lexicographic and so grouped by ``a``.
 
     For the entries ``(i, j, m)`` of row ``i``, the lhs terms pair them with
     the entries ``(m, k, l)`` (offsets by first index) and the rhs terms pair
@@ -205,7 +207,7 @@ def _assoc_sparse(N: np.ndarray):
     and summing equal runs gives the defects in lexicographic order.
     """
     r = N.shape[0]
-    a, b, c = _nonzero(N)        # lexicographic, so already grouped by a
+    a, b, c = nonzero
     v = N[a, b, c].astype(np.int64)
     by_first = np.concatenate(([0], np.bincount(a, minlength=r).cumsum()))
     by_last = np.concatenate(([0], np.bincount(c, minlength=r).cumsum()))

@@ -85,19 +85,7 @@ def _check_involution(dual: tuple[int, ...], rank: int) -> None:
 
 def _involutions(rank: int) -> list[tuple[int, ...]]:
     """All involutions of 0..rank-1 fixing 0, sorted."""
-
-    def build(points: tuple[int, ...]) -> list[dict[int, int]]:
-        if not points:
-            return [{}]
-        first, rest = points[0], points[1:]
-        out = [{first: first, **m} for m in build(rest)]
-        for n, partner in enumerate(rest):
-            remaining = rest[:n] + rest[n + 1 :]
-            out.extend({first: partner, partner: first, **m} for m in build(remaining))
-        return out
-
-    maps = build(tuple(range(1, rank)))
-    return sorted(tuple([0] + [m[i] for i in range(1, rank)]) for m in maps)
+    return [p for p in _relabellings(rank) if all(p[q] == i for i, q in enumerate(p))]
 
 
 def _representative(rank: int, pairs: int) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ class LabelSet:
         return len(self.members)
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
+        return i in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -94,11 +94,15 @@ def adjoint_subrule(rule: FusionRule, support: LabelSet | None = None) -> LabelS
         support = LabelSet(members=tuple(range(rule.rank)))
     elif not is_closed(rule, support.members):
         raise StructuralError(f"support {support.members} is not a sub-fusion rule")
-    idx = np.array(support.members, dtype=np.int64)
-    seeds = np.flatnonzero(rule.tensor[idx, np.array(rule.dual)[idx]].any(0))
-    result = closure(rule, seeds)
+    result = _adjoint(rule, support)
     assert set(result.members) <= set(support.members)
     return result
+
+
+def _adjoint(rule: FusionRule, support: LabelSet) -> LabelSet:
+    """``adjoint_subrule`` of a support already known to be closed."""
+    idx = np.array(support.members, dtype=np.int64)
+    return closure(rule, np.flatnonzero(rule.tensor[idx, np.array(rule.dual)[idx]].any(0)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def central_series(rule: FusionRule) -> CentralSeries:
     current = LabelSet(members=tuple(range(rule.rank)))
     chain = [current]
     while current.rank > 1:
-        nxt = adjoint_subrule(rule, current)
+        nxt = _adjoint(rule, current)  # the full set or a closure, so closed
         chain.append(nxt)
         if nxt.members == current.members:
             return CentralSeries(chain=tuple(chain), nilpotent=False, nilpotency_class=None)

@@ -54,13 +54,13 @@ class TestValidateCommand:
 
     def test_capacity_exit_two(self, tmp_path, capsys):
         doc = {"rank": 2, "dual": [0, 1],
-               "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2**27]]}
+               "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2**31]]}
         path = tmp_path / "huge.rule"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "2**53" in err and "Traceback" not in err
+        assert "2**63 - 1" in err and "Traceback" not in err
 
     def test_multiplicity_beyond_int64_exit_two(self, tmp_path, capsys):
         doc = {"rank": 2, "dual": [0, 1],
@@ -321,6 +321,13 @@ class TestGenCommand:
         assert len(err.splitlines()) == 1
         assert "2**63 - 1" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "x.rule"
+        with pytest.raises(OSError) as refused:
+            target.write_text("", encoding="utf-8")
+        assert main(["gen", "fixture", "ising", "--out", str(target)]) == 2
+        assert capsys.readouterr().err == f"cannot write output: {refused.value}\n"
 
     def test_unknown_fixture_exit_two(self, capsys):
         assert main(["gen", "fixture", "nosuch"]) == 2

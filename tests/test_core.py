@@ -25,7 +25,13 @@ from fusionrules import (
     su2k,
     validate,
 )
-from fusionrules.core import _assoc_dense, _assoc_sparse, _associativity_defects, default_labels
+from fusionrules.core import (
+    _assoc_dense,
+    _assoc_sparse,
+    _associativity_defects,
+    _nonzero,
+    default_labels,
+)
 from fusionrules.groups import builtin_group
 
 from oracles import associativity_defect_list, naive_validate
@@ -174,51 +180,50 @@ class TestValidate:
         assert "associativity" in report.codes()
 
     def test_capacity_guard(self):
-        # 2 * (2**27)**2 = 2**55 is past float64's exact integer range
+        # 2 * (2**31)**2 = 2**63 is past int64's range
         t = np.array(rank2_rule().tensor)
-        t[1, 1, 1] = 2**27
-        with pytest.raises(CapacityError):
+        t[1, 1, 1] = 2**31
+        with pytest.raises(CapacityError, match=r"2\*\*63 - 1"):
             validate(FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t))
 
     def test_exact_at_the_capacity_bound(self):
-        # 2 * (2**26)**2 = 2**53: the largest entry the guard lets through
+        # 2 * (2**31 - 1)**2 < 2**63 - 1: the largest entry the guard lets
+        # through; lhs(1,0,1,1) = (2**31 - 2) * (2**31 - 1) with a small rhs
         t = np.array(rank2_rule().tensor)
-        t[1, 1, 1] = 2**26
-        t[1, 0, 1] = 2**26 - 1
+        t[1, 1, 1] = 2**31 - 1
+        t[1, 0, 1] = 2**31 - 2
         expected = associativity_defect_list(t)
-        assert max(abs(d[4]) for d in expected) > 2**51
+        assert max(abs(d[4]) for d in expected) > 2**61
         assert list(_associativity_defects(t)) == expected
-        assert list(_assoc_sparse(t)) == expected
-        assert list(_assoc_dense(t)) == expected
+        assert sparse_defects(t) == expected
+        report = validate(FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t))
+        found = [v for v in report.violations if v.axiom == "associativity"]
+        assert [v.index for v in found] == [d[:4] for d in expected]
+        assert [v.message.rsplit(" = ", 1)[1] for v in found] == [str(d[4]) for d in expected]
 
-    def test_exact_at_the_float32_bound(self):
-        # rank 4 * (2**11)**2 = 2**24, the largest bound the dense path runs in
-        # float32.  lhs(1,1,2,3) = top * (4*top - 1) and its rhs is 0: above
+    def test_exact_at_the_float32_bound(self, monkeypatch):
+        # rank 4 * (2**11)**2 = 2**24, the largest bound the dense path runs
+        # in float32.  lhs(1,1,2,3) = top * (4*top - 1) and its rhs is 0: above
         # 2**23 at top = 2**11, and past 2**24 and odd one entry higher, where
-        # float32 would round, so that tensor has to take float64.
+        # float32 would round, so that tensor has to take the sparse path.
+        taken = record_paths(monkeypatch)
         for top in (2**11, 2**11 + 1):
             t = np.zeros((4, 4, 4), dtype=np.int64)
             t[1, 1] = (top, top, top, top - 1)
             t[:, 2, 3] = top
             expected = associativity_defect_list(t)
             assert (1, 1, 2, 3, top * (4 * top - 1)) in expected
-            assert list(_assoc_dense(t)) == expected
+            if top == 2**11:
+                assert list(_assoc_dense(t)) == expected
             assert list(_associativity_defects(t)) == expected
+        assert taken == ["_assoc_dense", "_assoc_sparse"]
 
     def test_double_of_z16_is_valid(self):
         # rank 256 at 0.4% density: affordable only on the sparse path
         assert validate(drinfeld_double(builtin_group("z16"))).valid
 
     def test_associativity_path_follows_predicted_work(self, monkeypatch):
-        taken = []
-        for name in ("_assoc_sparse", "_assoc_dense"):
-            helper = getattr(core, name)
-
-            def counted(N, helper=helper, name=name):
-                taken.append(name)
-                yield from helper(N)
-
-            monkeypatch.setattr(core, name, counted)
+        taken = record_paths(monkeypatch)
         assert validate(drinfeld_double(builtin_group("z10"))).valid
         assert validate(su2k(20)).valid
         assert taken == ["_assoc_sparse", "_assoc_dense"]
@@ -232,6 +237,25 @@ class TestValidate:
         for name, rule in corpus.items():
             for i in range(rule.rank):
                 assert np.array_equal(rule.tensor[rule.dual[i]], rule.tensor[i].T), name
+
+
+def sparse_defects(t):
+    return list(_assoc_sparse(t, _nonzero(t)))
+
+
+def record_paths(monkeypatch) -> list:
+    """Patch both associativity paths to append their name to the returned
+    list each time ``_associativity_defects`` takes one."""
+    taken = []
+    for name in ("_assoc_sparse", "_assoc_dense"):
+        helper = getattr(core, name)
+
+        def counted(*args, helper=helper, name=name):
+            taken.append(name)
+            yield from helper(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    return taken
 
 
 @st.composite
@@ -250,7 +274,7 @@ class TestAssociativityDefects:
     def test_matches_dense_reference_on_random_tensors(self, t):
         expected = associativity_defect_list(t)
         assert list(_associativity_defects(t)) == expected
-        assert list(_assoc_sparse(t)) == expected
+        assert sparse_defects(t) == expected
         assert list(_assoc_dense(t)) == expected
 
     @pytest.mark.parametrize("name,mutations", [
@@ -272,7 +296,7 @@ class TestAssociativityDefects:
             expected = associativity_defect_list(t)
             assert expected
             assert list(_associativity_defects(t)) == expected
-            assert list(_assoc_sparse(t)) == expected
+            assert sparse_defects(t) == expected
             assert list(_assoc_dense(t)) == expected
             report = validate(FusionRule(labels=rule.labels, dual=rule.dual, tensor=t))
             found = [v.index for v in report.violations if v.axiom == "associativity"]

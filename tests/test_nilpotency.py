@@ -174,6 +174,13 @@ class TestRestrict:
             for step in central_series(rule).chain:
                 assert validate(restrict(rule, step)).valid, name
 
+    def test_closure_restrictions_stay_valid(self, corpus):
+        for name, rule in corpus.items():
+            if rule.rank > 25:
+                continue
+            for i in range(rule.rank):
+                assert validate(restrict(rule, closure(rule, {i}))).valid, (name, i)
+
 
 def chain_by_fixpoint(rule) -> list:
     """The descending central series from the fixpoint closure oracle."""
