@@ -1,8 +1,9 @@
 """Hot numeric kernels, one interpreted implementation each.
 
-The two kernels here dominate the runtime of large surveys and analyses: the
-power iteration behind the Frobenius-Perron dimensions, and the backtracking
-search that exhaustively enumerates fusion tensors.  The associativity defect
+Two kernels live here: the power iteration behind the Frobenius-Perron
+dimensions, and the backtracking search that exhaustively enumerates fusion
+tensors.  The search is most of a census; a survey runs the power iteration
+once per isomorphism class, not per labelled rule.  The associativity defect
 lives in :mod:`fusionrules.core`, next to ``validate``.
 """
 

@@ -17,6 +17,11 @@ relabellings fixing that dual.  Every requested dual map of the class is then
 recovered by relabelling those representatives.  Emission order is
 lexicographic on the flattened tensor (then on the dual map), independent of
 internals.
+
+The survey consumes that labelled stream, but acyclicity, the nilpotency class
+and the Frobenius-Perron dimensions are invariant under relabelling, so it
+analyses only the first rule of each isomorphism class, keyed by the rule's
+canonical form (``_canonical_key``).
 """
 
 from __future__ import annotations
@@ -260,8 +265,50 @@ class TheoremSurvey:
         return not self.disagreements and not self.weak_integrality_failures
 
 
+def _canonical_index(rank: int) -> np.ndarray:
+    """Gather indices, one row per relabelling fixing 0, that take the flat
+    tensor followed by the flat dual matrix (``D[a, dual(a)] = 1``) to their
+    relabelled images; see ``_canonical_key``."""
+    cells = np.array([_cell_map(p) for p in _relabellings(rank)], dtype=np.intp)
+    # the cells (i, j, 0) map among themselves, so the pair map is their column
+    return np.hstack([cells, cells[:, ::rank] // rank + rank**3])
+
+
+def _canonical_key(rule: FusionRule, index: np.ndarray) -> bytes:
+    """The least of the rule's relabelled (tensor, dual) rows, as bytes: equal
+    for two rules iff one is a relabelling of the other.  The dual is part of
+    the row because under bare axioms the tensor does not determine it."""
+    r = rule.rank
+    flat = np.zeros(r**3 + r * r, dtype=np.int64)
+    flat[:r**3] = rule.tensor.ravel()
+    flat[r**3 + r * np.arange(r) + np.asarray(rule.dual)] = 1
+    rows = flat[index]
+    return min(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist())
+
+
+def _verdicts(rule: FusionRule, tolerance: float) -> tuple[bool, bool, int | None, bool]:
+    """``(acyclic, nilpotent, nilpotency_class, weakly_integral)`` of a rule."""
+    acyclic = is_acyclic(rule)
+    series = central_series(rule)
+    try:
+        dims = fp_dimensions(rule, tolerance)
+    except NumericalError as exc:
+        exc.rule = rule
+        raise
+    return acyclic, series.nilpotent, series.nilpotency_class, dims.is_weakly_integral
+
+
 def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
-    """Run both decision procedures and the integrality check on every rule."""
+    """Cross-check acyclicity against nilpotency, and weak integrality, over
+    every rule of the census.
+
+    Every labelled rule of ``enumerate_rules(spec)`` is counted and, where it
+    fails a check, listed.  The analyses run once per isomorphism class, on
+    the class's first rule in stream order, and every later relabelling
+    shares its verdicts.  A ``NumericalError`` carries that first rule as
+    ``exc.rule``."""
+    index = _canonical_index(spec.rank)
+    verdicts: dict[bytes, tuple[bool, bool, int | None, bool]] = {}
     total = 0
     unique_vacuum_count = 0
     acyclic_count = 0
@@ -273,21 +320,17 @@ def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
         total += 1
         # N[i, dual(i), 0] == 1 is forced, so a unique channel leaves rank nonzeros
         unique_vacuum_count += bool(np.count_nonzero(rule.tensor[:, :, 0]) == rule.rank)
-        acyclic = is_acyclic(rule)
-        series = central_series(rule)
+        key = _canonical_key(rule, index)
+        if key not in verdicts:
+            verdicts[key] = _verdicts(rule, tolerance)
+        acyclic, nilpotent, c, weakly_integral = verdicts[key]
         acyclic_count += acyclic
-        nilpotent_count += series.nilpotent
-        if acyclic != series.nilpotent:
+        nilpotent_count += nilpotent
+        if acyclic != nilpotent:
             disagreements.append(rule)
-        if series.nilpotent:
-            c = series.nilpotency_class
+        if nilpotent:
             histogram[c] = histogram.get(c, 0) + 1
-        try:
-            dims = fp_dimensions(rule, tolerance)
-        except NumericalError as exc:
-            exc.rule = rule
-            raise
-        if acyclic and not dims.is_weakly_integral:
+        if acyclic and not weakly_integral:
             failures.append(rule)
     return TheoremSurvey(
         total=total,

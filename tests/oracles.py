@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from fusionrules import FusionRule
+from fusionrules import FusionRule, NumericalError, TheoremSurvey, explorer
 
 
 def naive_validate(rule: FusionRule) -> bool:
@@ -304,3 +304,40 @@ def search_tensors_reference(plan, max_val, rank):
             else:
                 t += 1
     return solutions
+
+
+def survey_reference(spec, tolerance=1e-6):
+    """``explorer.survey`` with every analysis run on every labelled rule, no
+    isomorphism classes: the loop the per-class survey must reproduce."""
+    total = unique_vacuum_count = acyclic_count = nilpotent_count = 0
+    disagreements = []
+    failures = []
+    histogram = {}
+    for rule in explorer.enumerate_rules(spec):
+        total += 1
+        unique_vacuum_count += bool(np.count_nonzero(rule.tensor[:, :, 0]) == rule.rank)
+        acyclic = explorer.is_acyclic(rule)
+        series = explorer.central_series(rule)
+        acyclic_count += acyclic
+        nilpotent_count += series.nilpotent
+        if acyclic != series.nilpotent:
+            disagreements.append(rule)
+        if series.nilpotent:
+            c = series.nilpotency_class
+            histogram[c] = histogram.get(c, 0) + 1
+        try:
+            dims = explorer.fp_dimensions(rule, tolerance)
+        except NumericalError as exc:
+            exc.rule = rule
+            raise
+        if acyclic and not dims.is_weakly_integral:
+            failures.append(rule)
+    return TheoremSurvey(
+        total=total,
+        unique_vacuum_count=unique_vacuum_count,
+        acyclic_count=acyclic_count,
+        nilpotent_count=nilpotent_count,
+        disagreements=tuple(disagreements),
+        weak_integrality_failures=tuple(failures),
+        class_histogram=histogram,
+    )

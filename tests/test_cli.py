@@ -24,6 +24,14 @@ from fusionrules.io import dot_graph, dump_group, dump_rule, parse_group
 # from the adjoint graph built before it shared its adjacency with find_cycle
 CORPUS_DOT_SHA256 = "5c0035049f9f2dfd40a6163e232dd5795b71560939a8a3035c879ddfcb6d17c3"
 
+# sha256 of stdout, recorded from the survey that analysed every labelled rule
+SURVEY_STDOUT_SHA256 = {
+    "--rank 4 --max-mult 3 --survey --json":
+        "35b26de3eb8cff01d3796d7f16ab7d744e82dd52b56a4aebdfbb6922ab82cc86",
+    "--rank 3 --max-mult 2 --bare-axioms --survey":
+        "d2de793e78e0d43d59d9052b1d8af1249461e551a65369299bff849241d7e7f4",
+}
+
 
 @pytest.fixture()
 def ising_path(tmp_path):
@@ -468,3 +476,9 @@ class TestEnumerateCommand:
 
     def test_out_of_bounds_exit_two(self):
         assert main(["enumerate", "--rank", "9", "--survey"]) == 2
+
+    @pytest.mark.parametrize("args", sorted(SURVEY_STDOUT_SHA256))
+    def test_survey_stdout_frozen(self, capsys, args):
+        assert main(["enumerate", *args.split()]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == SURVEY_STDOUT_SHA256[args]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from fusionrules import (
     CapacityError,
     EnumSpec,
+    NumericalError,
     StructuralError,
     _kernels,
+    explorer,
     enumerate_rules,
     is_acyclic,
     survey,
@@ -17,7 +20,7 @@ from fusionrules import (
 )
 from fusionrules.explorer import _involutions, _prepare, _representative
 
-from oracles import naive_census
+from oracles import naive_census, survey_reference
 
 # labeled-rule counts, verified against the unpruned census (rank <= 3) and
 # frozen as regression values beyond that
@@ -322,3 +325,102 @@ class TestSurvey:
         result = survey(EnumSpec(rank=3, max_mult=2, bare_axioms=True))
         assert result.total == 21
         assert result.clean
+
+    def test_rank_five_multiplicity_two(self):
+        # recorded from the survey that analysed every labelled rule
+        result = survey(EnumSpec(rank=5, max_mult=2))
+        assert result.total == result.unique_vacuum_count == 776
+        assert result.acyclic_count == result.nilpotent_count == 22
+        assert result.class_histogram == {1: 6, 2: 16}
+        assert result.clean
+
+
+def _shuffled_duals(rank, seed):
+    duals = _involutions(rank)
+    random.Random(seed).shuffle(duals)
+    return tuple(duals)
+
+
+SURVEY_SPECS = {
+    "r4m3-shuffled-duals": EnumSpec(rank=4, max_mult=3, dual_maps=_shuffled_duals(4, 13)),
+    "r5m1": EnumSpec(rank=5, max_mult=1),
+    "r4m2-limit50": EnumSpec(rank=4, max_mult=2, limit=50),
+    "r3m2-bare": EnumSpec(rank=3, max_mult=2, bare_axioms=True),
+    "r4m1-bare": EnumSpec(rank=4, max_mult=1, bare_axioms=True),
+}
+
+# isomorphism classes (relabellings fixing the vacuum, dual map included)
+CLASS_COUNTS = {
+    "r4m2": (EnumSpec(rank=4, max_mult=2), 27),
+    "r4m3": (EnumSpec(rank=4, max_mult=3), 51),
+    "r5m1": (EnumSpec(rank=5, max_mult=1), 16),
+    "r5m2": (EnumSpec(rank=5, max_mult=2), 53),
+    # 18 if the dual map were left out of the class key
+    "r4m1-bare": (EnumSpec(rank=4, max_mult=1, bare_axioms=True), 21),
+}
+
+
+def isomorphic(a, b):
+    """Whether some relabelling fixing 0 takes rule ``a`` to rule ``b``."""
+    if a.rank != b.rank:
+        return False
+    for rest in itertools.permutations(range(1, a.rank)):
+        p = (0, *rest)
+        if all(p[a.dual[x]] == b.dual[p[x]] for x in range(a.rank)) and np.array_equal(
+            a.tensor, b.tensor[np.ix_(p, p, p)]
+        ):
+            return True
+    return False
+
+
+class TestSurveyPerClass:
+    @pytest.mark.parametrize("name", sorted(SURVEY_SPECS))
+    def test_matches_per_rule_reference(self, name):
+        spec = SURVEY_SPECS[name]
+        assert survey(spec) == survey_reference(spec)
+
+    def test_lists_every_labelled_rule_of_a_failing_class(self, monkeypatch):
+        # with acyclicity inverted every rule disagrees and the non-weakly
+        # integral classes fail integrality; each labelled rule is listed
+        real = explorer.is_acyclic
+        monkeypatch.setattr(explorer, "is_acyclic", lambda rule: not real(rule))
+        spec = EnumSpec(rank=4, max_mult=2)
+        result = survey(spec)
+        assert len(result.disagreements) == 121
+        assert result.weak_integrality_failures
+        assert result == survey_reference(spec)
+
+    @pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
+    def test_each_analysis_runs_once_per_class(self, monkeypatch, name):
+        spec, classes = CLASS_COUNTS[name]
+        calls = {}
+        for name in ("fp_dimensions", "central_series", "is_acyclic"):
+            real = getattr(explorer, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(explorer, name, counted)
+        survey(spec)
+        assert calls == {"fp_dimensions": classes, "central_series": classes,
+                         "is_acyclic": classes}
+
+    def test_numerical_error_names_first_rule_of_its_class(self, monkeypatch):
+        spec = EnumSpec(rank=4, max_mult=3)
+        rules = list(enumerate_rules(spec))
+        target = rules[200]
+        first = next(rule for rule in rules if isomorphic(rule, target))
+        assert first != target and first != rules[0]
+        real = explorer.fp_dimensions
+
+        def failing(rule, tolerance=1e-6):
+            if isomorphic(rule, target):
+                raise NumericalError("no convergence")
+            return real(rule, tolerance)
+
+        monkeypatch.setattr(explorer, "fp_dimensions", failing)
+        with pytest.raises(NumericalError) as info:
+            survey(spec)
+        assert info.value.rule == first
+
