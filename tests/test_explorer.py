@@ -12,8 +12,8 @@ from fusionrules import (
     NumericalError,
     StructuralError,
     _kernels,
-    explorer,
     enumerate_rules,
+    explorer,
     is_acyclic,
     survey,
     validate,
@@ -394,14 +394,14 @@ class TestSurveyPerClass:
     def test_each_analysis_runs_once_per_class(self, monkeypatch, name):
         spec, classes = CLASS_COUNTS[name]
         calls = {}
-        for name in ("fp_dimensions", "central_series", "is_acyclic"):
-            real = getattr(explorer, name)
+        for analysis in ("fp_dimensions", "central_series", "is_acyclic"):
+            real = getattr(explorer, analysis)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
+            def counted(*args, _real=real, _name=analysis, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(explorer, name, counted)
+            monkeypatch.setattr(explorer, analysis, counted)
         survey(spec)
         assert calls == {"fp_dimensions": classes, "central_series": classes,
                          "is_acyclic": classes}
