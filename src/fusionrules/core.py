@@ -59,11 +59,16 @@ class FusionRule:
                 f"tensor shape {tensor.shape} does not match rank {rank} (need rank**3 entries)"
             )
         if not np.issubdtype(tensor.dtype, np.integer):
+            if not np.all(np.isfinite(tensor)):
+                raise StructuralError("tensor entries must be finite")
             if not np.all(tensor == np.round(tensor)):
                 raise StructuralError("tensor entries must be integers")
-        tensor = tensor.astype(np.int64, copy=True)
-        if tensor.size and tensor.min() < 0:
+        # range checks before the cast, which would wrap or saturate out-of-range values
+        if tensor.min() < 0:
             raise StructuralError("tensor entries must be non-negative")
+        if tensor.dtype != np.int64 and int(tensor.max()) >= 2**63:
+            raise StructuralError("tensor entries must be below 2**63 to fit int64")
+        tensor = tensor.astype(np.int64, copy=True)
         tensor.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dual", dual)

@@ -26,19 +26,35 @@ __all__ = [
 ]
 
 
-def rule_to_dict(rule: FusionRule) -> dict:
+def _records(rule: FusionRule) -> np.ndarray:
     idx = np.argwhere(rule.tensor)  # row-major, the order of the records
-    entries = np.column_stack([idx, rule.tensor[tuple(idx.T)]]).tolist()
+    return np.column_stack([idx, rule.tensor[tuple(idx.T)]])
+
+
+def rule_to_dict(rule: FusionRule) -> dict:
     return {
         "rank": rule.rank,
         "labels": list(rule.labels),
         "dual": list(rule.dual),
-        "fusion": entries,
+        "fusion": _records(rule).tolist(),
     }
 
 
+# One fusion record as ``json.dumps(..., indent=2)`` lays it out at depth 2.
+# With ``indent`` set, CPython's json falls back to its pure-Python encoder,
+# so the records, nearly all of a rule file, are formatted here in one pass.
+_RECORD = "    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]"
+
+
 def dump_rule(rule: FusionRule) -> str:
-    return json.dumps(rule_to_dict(rule), indent=2) + "\n"
+    """``json.dumps(rule_to_dict(rule), indent=2) + "\\n"``, byte for byte."""
+    head = json.dumps(
+        {"rank": rule.rank, "labels": list(rule.labels), "dual": list(rule.dual)}, indent=2
+    )
+    flat = _records(rule).ravel().tolist()
+    body = ",\n".join([_RECORD] * (len(flat) // 4)) % tuple(flat)
+    fusion = f"[\n{body}\n  ]" if flat else "[]"
+    return f'{head[:-2]},\n  "fusion": {fusion}\n}}\n'  # head[:-2] drops its closing "\n}"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -140,12 +156,12 @@ def parse_rule(text: str) -> FusionRule:
 
 
 def dump_group(group: FiniteGroup) -> str:
-    doc = {
-        "order": group.order,
-        "table": [int(x) for x in group.table.reshape(-1)],
-        "name": group.name,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps({"order", "table", "name"}, indent=2) + "\\n"`` with the
+    row-major table, byte for byte."""
+    table = group.table.ravel().tolist()
+    entries = ",\n".join(["    %d"] * len(table)) % tuple(table)
+    name = json.dumps(group.name)
+    return f'{{\n  "order": {group.order},\n  "table": [\n{entries}\n  ],\n  "name": {name}\n}}\n'
 
 
 def parse_group(text: str) -> FiniteGroup:

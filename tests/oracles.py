@@ -7,6 +7,7 @@ formulas) so it shares no code path with the implementations under test.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -341,3 +342,19 @@ def survey_reference(spec, tolerance=1e-6):
         weak_integrality_failures=tuple(failures),
         class_histogram=histogram,
     )
+
+
+def dump_rule_reference(rule: FusionRule) -> str:
+    """A rule file as the standard library's indenting JSON encoder writes it:
+    the nonzero entries as ``[i, j, k, multiplicity]`` in row-major order."""
+    t = rule.tensor.tolist()
+    records = [[i, j, k, t[i][j][k]] for i, j, k in np.argwhere(rule.tensor).tolist()]
+    doc = {"rank": rule.rank, "labels": list(rule.labels), "dual": list(rule.dual),
+           "fusion": records}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def dump_group_reference(group) -> str:
+    """A group file as the standard library's indenting JSON encoder writes it."""
+    table = [int(x) for row in group.table for x in row]
+    return json.dumps({"order": group.order, "table": table, "name": group.name}, indent=2) + "\n"

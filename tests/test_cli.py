@@ -32,6 +32,16 @@ SURVEY_STDOUT_SHA256 = {
         "d2de793e78e0d43d59d9052b1d8af1249461e551a65369299bff849241d7e7f4",
 }
 
+# sha256 of stdout, recorded from the rule files written by json.dumps(..., indent=2)
+WRITE_STDOUT_SHA256 = {
+    "gen su2k 20": "246763e86c2e7e69272627cc1864319cfe9b105e3e1a7942208a291783041e1f",
+    "gen double --group s3": "4eeecd415aeb286d4a5bac36a8942e2f62f9bd6b00a78f8e0afd3597515a9f13",
+    "enumerate --rank 4 --max-mult 2":
+        "17b26f43b24c593e32b0f93d7193e574b4897118a6aca705750d7ab3bb39e3ce",
+    "enumerate --rank 3 --max-mult 2 --bare-axioms":
+        "99505dc3a629619f25bd724c9ce78f96e1d8f5441b72c70bbea1882b4a5f6f2f",
+}
+
 
 @pytest.fixture()
 def ising_path(tmp_path):
@@ -476,6 +486,12 @@ class TestEnumerateCommand:
 
     def test_out_of_bounds_exit_two(self):
         assert main(["enumerate", "--rank", "9", "--survey"]) == 2
+
+    @pytest.mark.parametrize("args", sorted(WRITE_STDOUT_SHA256))
+    def test_written_rule_files_frozen(self, capsys, args):
+        assert main(args.split()) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == WRITE_STDOUT_SHA256[args]
 
     @pytest.mark.parametrize("args", sorted(SURVEY_STDOUT_SHA256))
     def test_survey_stdout_frozen(self, capsys, args):

@@ -66,6 +66,33 @@ class TestFusionRule:
             t[1, 1, 1] = 0.5
             FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t)
 
+    @pytest.mark.parametrize("value,dtype,message", [
+        (np.inf, np.float64, "tensor entries must be finite"),
+        (-np.inf, np.float64, "tensor entries must be finite"),
+        (np.nan, np.float64, "tensor entries must be finite"),
+        (1e19, np.float64, "tensor entries must be below 2**63 to fit int64"),
+        (2.0**63, np.float64, "tensor entries must be below 2**63 to fit int64"),
+        (-1e19, np.float64, "tensor entries must be non-negative"),
+        (2**63, np.uint64, "tensor entries must be below 2**63 to fit int64"),
+    ])
+    def test_out_of_range_entries_refused_before_the_cast(self, value, dtype, message):
+        t = np.zeros((1, 1, 1), dtype=dtype)
+        t[0, 0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the int64 cast warns on these values
+            with pytest.raises(StructuralError) as exc:
+                FusionRule(labels=("1",), dual=(0,), tensor=t)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value,dtype", [
+        (2.0**62, np.float64), (2**63 - 1, np.uint64), (2**63 - 1, np.int64), (1, np.bool_),
+    ])
+    def test_largest_entries_accepted(self, value, dtype):
+        t = np.zeros((1, 1, 1), dtype=dtype)
+        t[0, 0, 0] = value
+        rule = FusionRule(labels=("1",), dual=(0,), tensor=t)
+        assert rule.tensor.dtype == np.int64 and int(rule.tensor[0, 0, 0]) == int(value)
+
     def test_tensor_is_immutable(self):
         rule = named_fixture("ising")
         with pytest.raises(ValueError):
