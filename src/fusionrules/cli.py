@@ -162,7 +162,7 @@ def cmd_gen(args) -> int:
     elif family == "double":
         if args.group is None:
             raise FusionError("gen double requires --group")
-        rule = drinfeld_double(_load_group(args.group), tolerance=args.tolerance)
+        rule = drinfeld_double(_load_group(args.group))
     elif family == "product":
         if len(params) != 2:
             raise FusionError("gen product requires two rule files")
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["pointed", "su2k", "fixture", "double", "product"])
     p.add_argument("params", nargs="*")
     p.add_argument("--group", default=None, help="built-in group name or group file path")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 

@@ -58,6 +58,8 @@ class FusionRule:
             raise StructuralError(
                 f"tensor shape {tensor.shape} does not match rank {rank} (need rank**3 entries)"
             )
+        if tensor.dtype.kind not in "biuf":  # ints past 64 bits arrive as object arrays
+            raise StructuralError(f"tensor entries must be numbers within 64 bits, got {tensor.dtype}")
         if not np.issubdtype(tensor.dtype, np.integer):
             if not np.all(np.isfinite(tensor)):
                 raise StructuralError("tensor entries must be finite")

@@ -8,8 +8,8 @@ import numpy as np
 
 from .acyclicity import is_acyclic
 from .core import FusionRule, fp_dimensions, validate
-from .errors import CapacityError, NumericalError, StructuralError, UnknownFixtureError
-from .groups import FiniteGroup, character_table
+from .errors import CapacityError, StructuralError, UnknownFixtureError
+from .groups import FiniteGroup, _characters, _field
 
 __all__ = [
     "pointed",
@@ -116,7 +116,7 @@ def _so8_2() -> FusionRule:
     report = validate(rule)
     if not report.valid:
         raise StructuralError(f"so8_2 fixture violates fusion axioms: {report.violations[0]}")
-    dims = fp_dimensions(rule, tolerance=1e-6)
+    dims = fp_dimensions(rule)
     rounded = sorted(round(d) for d in dims.dims)
     if rounded != [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2] or abs(dims.global_dim - 32.0) > 1e-6:
         raise StructuralError("so8_2 fixture has wrong Frobenius-Perron dimensions")
@@ -146,34 +146,32 @@ def named_fixture(name: str) -> FusionRule:
     return factory()
 
 
-def drinfeld_double(
-    group: FiniteGroup, tolerance: float = 1e-6, max_order: int = DOUBLE_ORDER_CAP
-) -> FusionRule:
-    """Fusion rule of the quantum double of a finite group.
+def drinfeld_double(group: FiniteGroup, *, max_order: int = DOUBLE_ORDER_CAP) -> FusionRule:
+    """Fusion rule of the quantum double of a finite group, computed exactly
+    in the prime field F_p of :func:`groups._field`.
 
     Simple labels are pairs (conjugacy class, irreducible character of the
     representative's centralizer), grouped by class.  Each simple has a
     character ``theta[g, h]`` on commuting pairs, supported on the rows ``g``
-    of its class; class ``c`` keeps its block as a ``(k_c, |C_c|, n)`` array.
-    Tensor products convolve these characters in ``g``, and multiplicities are
-    the inner product over commuting pairs.  Because everything is invariant
+    of its class; class ``c`` keeps its block mod p as a ``(k_c, |C_c|, n)``
+    array.  Tensor products convolve these characters in ``g``, and
+    multiplicities are the inner product over commuting pairs, with
+    ``conj theta[g, h] = theta[g, h**-1]``.  Because everything is invariant
     under simultaneous conjugation, the inner product over ``g in C_c`` is
     ``|C_c|`` times its value at the representative of ``c``, so for each
     class pair ``(a, b)`` and each class ``c`` meeting ``C_a C_b`` the block
     ``N[X in a, Y in b, Z in c]`` is one ``(k_a k_b, m) @ (m, k_c)`` product
     over the ``m`` elements of the centralizer of that representative.
 
-    Every raw multiplicity must sit within ``tolerance`` of a non-negative
-    integer, which cross-checks the character tables.  The tensor is assembled
-    in int16: ``N[X, Y, Z] <= d_X d_Y <= |G|**2``, so groups of order above
-    181 are refused whatever ``max_order`` says.
+    Each residue is the multiplicity itself: ``N[X, Y, Z] <= d_X d_Y <=
+    |G|**2 < p``.  The tensor is assembled in int16, which holds ``|G|**2`` up
+    to order 181, so larger groups are refused whatever ``max_order`` says.
     """
-    if not 0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     n = group.order
     cap = min(max_order, _INT16_ORDER_LIMIT)
     if n > cap:
         raise CapacityError(f"group order {n} exceeds the cap {cap}")
+    e, p = _field(group)
     table = group.table
     inv = np.array(group.inverses)
     classes = [np.array(cls) for cls in group.conjugacy_classes]
@@ -183,34 +181,35 @@ def drinfeld_double(
         class_of[cls] = c
         slot[cls] = np.arange(len(cls))
 
-    tables = {}  # centralizer element set -> (character table, class index per element)
+    tables = {}  # centralizer element set -> (characters mod p, class index per element)
     centralizers = []
     blocks = []
+    weighted = []  # per class: conj theta_Z(rep, h) * |C_c| / |G|, shaped (m, k_c)
     names = []
     for cls in classes:
         rep = int(cls[0])
         cz_elements = group.centralizer_elements(rep)
         cz = np.array(cz_elements)
         if cz_elements not in tables:
-            ct = character_table(group.subgroup(cz_elements))
+            cz_classes, _, rows, _ = _characters(group.subgroup(cz_elements), e, p)
             cz_class = np.full(n, -1, dtype=np.int64)
-            for idx, members in enumerate(ct.classes):
+            for idx, members in enumerate(cz_classes):
                 cz_class[cz[list(members)]] = idx
-            tables[cz_elements] = ct, cz_class
-        ct, cz_class = tables[cz_elements]
+            tables[cz_elements] = rows, cz_class
+        rows, cz_class = tables[cz_elements]
         # x[i] conjugates rep to cls[i]; u[i, h] = x^-1 h x lies in the
         # centralizer exactly when h commutes with cls[i]
         x = np.argmax(table[table[:, rep], inv][:, None] == cls[None, :], axis=0)
         u = table[table[inv[x]], x[:, None]]
         local = cz_class[u]
-        blocks.append(np.where(local >= 0, ct.table[:, local], 0))
+        blocks.append(np.where(local >= 0, rows[:, local], 0))
+        weighted.append(blocks[-1][:, 0, inv[cz]].T * (len(cls) * pow(n, -1, p) % p) % p)
         centralizers.append(cz)
-        names.extend(f"({rep},{r})" for r in range(len(ct.degrees)))
+        names.extend(f"({rep},{r})" for r in range(len(rows)))
 
     offsets = np.cumsum([0] + [len(b) for b in blocks])
     span = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     tensor = np.zeros((offsets[-1],) * 3, dtype=np.int16)
-    worst = 0.0
     for a, ca in enumerate(classes):
         for b, cb in enumerate(classes):
             for c in np.unique(class_of[table[np.ix_(ca, cb)]]):
@@ -220,27 +219,9 @@ def drinfeld_double(
                 g2 = table[inv[g1], rep]
                 left = blocks[a][:, slot[g1][:, None], cz]
                 right = blocks[b][:, slot[g2][:, None], cz]
-                conv = np.einsum("xph,yph->xyh", left, right)
-                raw = conv.reshape(-1, len(cz)) @ blocks[c][:, 0, cz].conj().T
-                raw *= len(classes[c]) / n
-                rounded = np.round(raw.real)
-                err = float(np.abs(raw - rounded).max())
-                worst = max(worst, err)
-                if err > tolerance or rounded.min() < 0 or rounded.max() > n * n:
-                    raise NumericalError(
-                        f"double multiplicities for classes ({a},{b},{c}) are not integers in "
-                        f"[0, |G|**2] (residual {err:.3e}); character table is suspect",
-                        residual=err,
-                    )
-                tensor[span[a], span[b], span[c]] = rounded.reshape(len(left), len(right), -1)
+                conv = np.einsum("xph,yph->xyh", left, right) % p
+                raw = conv.reshape(-1, len(cz)) @ weighted[c] % p
+                tensor[span[a], span[b], span[c]] = raw.reshape(len(left), len(right), -1)
 
-    dual = []
-    for X in range(len(names)):
-        candidates = np.nonzero(tensor[X, :, 0] == 1)[0]
-        if len(candidates) != 1:
-            raise NumericalError(
-                f"label {X} of the double has {len(candidates)} vacuum partners",
-                residual=worst,
-            )
-        dual.append(int(candidates[0]))
-    return FusionRule(labels=tuple(names), dual=tuple(dual), tensor=tensor)
+    dual = np.argmax(tensor[:, :, 0], axis=1)
+    return FusionRule(labels=tuple(names), dual=tuple(dual.tolist()), tensor=tensor)

@@ -10,12 +10,13 @@ constructor.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, StructuralError, UnknownFixtureError
+from .errors import StructuralError, UnknownFixtureError
 
 __all__ = [
     "FiniteGroup",
@@ -176,70 +177,98 @@ def _class_algebra_matrices(group: FiniteGroup):
     # mats[i, l, j] counts the pairs (x in C_i, y in C_j) with xy the representative of C_l
     x, y = np.nonzero(np.isin(group.table, [cls[0] for cls in classes]))
     key = (class_of[x] * k + class_of[group.table[x, y]]) * k + class_of[y]
-    mats = np.bincount(key, minlength=k**3).reshape(k, k, k).astype(np.float64)
-    return classes, mats
+    return classes, class_of, np.bincount(key, minlength=k**3).reshape(k, k, k)
 
 
-def character_table(group: FiniteGroup, tolerance: float = 1e-6) -> CharacterTable:
-    """Characters via simultaneous diagonalization of the class-algebra matrices.
+def _field(group: FiniteGroup) -> tuple[int, int]:
+    """The exponent ``e`` of the group and the least prime ``p = 1 (mod e)``
+    above ``|G|**2``.  F_p holds the e-th roots of unity, so every character
+    value reduces into it, and every multiplicity of the double is below p."""
+    n, idx = group.order, np.arange(group.order)
+    power, e = idx, 1
+    while power.any():
+        power, e = group.table[power, idx], e + 1
+    p = -(-n * n // e) * e + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += e
+    return e, p
 
-    A seeded random combination of the class-sum multiplication matrices is
-    diagonalized; its eigenvectors are common eigenvectors of all of them,
-    whose eigenvalues are the central characters.  The result is verified
-    against the orthogonality relations (and integrality of degrees) before
-    being returned, retrying with fresh weights on numerical bad luck.
+
+def _characters(group: FiniteGroup, e: int, p: int):
+    """Dixon's modular method: the classes, the complex character table, its
+    rows mod ``p`` and the degrees, for the ``(e, p)`` that :func:`_field`
+    gives this group or a group containing it.
+
+    The central characters ``omega`` are the common left eigenvectors of the
+    class-algebra matrices.  A random combination of them whose characteristic
+    polynomial has ``k`` simple roots ``lambda_s`` in F_p separates them:
+    ``prod_{s != r} (combo - lambda_s)`` has rank one, with rows along the r-th.
+    Then ``d**2 = |G| / sum_i omega_i omega_i* / |C_i|`` and
+    ``chi = d omega / |C|``, checked against the orthogonality relations mod p.
+    Complex values come from the eigenvalue multiplicities
+    ``m_j = (1/e) sum_l chi(g**l) z**(-jl)`` of each representative ``g``, where
+    the e-th root of unity ``z`` in F_p, the same for every table of one
+    ``(e, p)``, stands for ``exp(2 pi i / e)``.  Rows are sorted by degree,
+    then by ``(-Re, -Im)`` of each entry rounded to 6 places (the trivial
+    character first); the table is real when every character is.
     """
-    classes, mats = _class_algebra_matrices(group)
-    k = len(classes)
-    sizes = np.array([len(c) for c in classes], dtype=np.float64)
-    n = group.order
+    classes, class_of, mats = _class_algebra_matrices(group)
+    k, n = len(classes), group.order
+    reps = np.array([cls[0] for cls in classes])
+    star = class_of[np.array(group.inverses)[reps]]
+    sizes = np.array([len(cls) for cls in classes])
+    inv_size = np.array([pow(int(s), -1, p) for s in sizes])
+    eye, x = np.eye(k, dtype=np.int64), np.arange(p)
+    rng = np.random.default_rng(0)
+    while True:
+        combo = np.tensordot(rng.integers(0, p, k), mats, axes=1) % p
+        # the characteristic polynomial by Faddeev-LeVerrier, evaluated on all of F_p
+        values, m = np.ones(p, dtype=np.int64), eye
+        for s in range(1, k + 1):
+            am = combo @ m % p
+            c = -int(np.trace(am)) * pow(s, -1, p) % p
+            values = (values * x + c) % p
+            m = (am + c * eye) % p
+        roots = np.flatnonzero(values == 0)
+        if len(roots) == k:
+            break
+    # row 0 of every prod_{s != r} (combo - lambda_s) at once; it is nonzero at
+    # the identity class, where each central idempotent has d**2 / |G|
+    omega = np.zeros((k, k), dtype=np.int64)
+    omega[:, 0] = 1
+    for s, lam in enumerate(roots):
+        step = (omega @ combo - lam * omega) % p
+        step[s] = omega[s]
+        omega = step
+    omega = omega * np.array([[pow(int(w), -1, p)] for w in omega[:, 0]]) % p
+    norms = (omega * omega[:, star] % p * inv_size % p).sum(axis=1) % p
+    degrees = np.array([math.isqrt(n * pow(int(s), -1, p) % p) for s in norms])
+    rows = omega * (degrees[:, None] * inv_size % p) % p
+    if not np.array_equal((rows * sizes % p) @ rows[:, star].T % p, n * eye):
+        raise ArithmeticError(f"character table of {group.name} fails orthogonality mod {p}")
 
-    last_error = None
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        combo = np.tensordot(rng.random(k), mats, axes=1)
-        _, vecs = np.linalg.eig(combo)
-        try:
-            rows = []
-            for r in range(k):
-                v = vecs[:, r]
-                pivot = int(np.argmax(np.abs(v)))
-                omega = np.array([(mats[i] @ v)[pivot] / v[pivot] for i in range(k)])
-                d_sq = n / float(np.sum(np.abs(omega) ** 2 / sizes))
-                d = np.sqrt(d_sq)
-                if abs(d - round(d)) > 1e-4 or round(d) < 1:
-                    raise NumericalError(f"non-integral character degree {d}", residual=d)
-                chi = d * omega / sizes
-                rows.append((int(round(d)), chi))
-            if sum(d * d for d, _ in rows) != n:
-                raise NumericalError("degrees do not sum to the group order")
-            table = _sorted_rows(rows)
-            degrees = tuple(sorted(d for d, _ in rows))
-            gram = (table * sizes) @ table.conj().T
-            err = float(np.abs(gram - n * np.eye(k)).max())
-            if err > tolerance * n:
-                raise NumericalError("orthogonality relations violated", residual=err)
-            table.flags.writeable = False
-            return CharacterTable(classes=classes, table=table, degrees=degrees)
-        except NumericalError as exc:
-            last_error = exc
-    raise NumericalError(
-        f"character table of {group.name} failed verification after retries: {last_error}",
-        residual=getattr(last_error, "residual", None),
-    )
+    # an element of order exactly e, which stands for exp(2 pi i / e)
+    z = next(z for z in (pow(a, (p - 1) // e, p) for a in range(1, p))
+             if len({pow(z, j, p) for j in range(e)}) == e)
+    powers = np.zeros((e, k), dtype=np.int64)  # powers[l, i] = reps[i]**l
+    for l in range(1, e):
+        powers[l] = group.table[powers[l - 1], reps]
+    j = np.arange(e)
+    dft = np.array([pow(z, t, p) for t in range(e)])[-np.outer(j, j) % e]
+    mult = rows[:, class_of[powers]].transpose(0, 2, 1) @ dft % p * pow(e, -1, p) % p
+    table = mult @ np.exp(2j * np.pi * j / e)
+    if np.array_equal(rows, rows[:, star]):
+        table = table.real
+    key = np.round(table, 6)
+    order = sorted(range(k), key=lambda r: (degrees[r], *zip(-key[r].real, -key[r].imag)))
+    return classes, table[order], rows[order], tuple(degrees[order].tolist())
 
 
-def _sorted_rows(rows) -> np.ndarray:
-    """The characters ``chi`` of the ``(degree, chi)`` rows, by degree, then by
-    ``(-Re, -Im)`` of each entry rounded to 6 places (the trivial character
-    first within degree 1); ties keep their order."""
-    chis = np.array([chi for _, chi in rows])
-    keys = np.empty((chis.shape[1], 2, len(rows)))
-    keys[:, 0] = -np.round(chis.real, 6).T
-    keys[:, 1] = -np.round(chis.imag, 6).T
-    # np.lexsort sorts on its last key first
-    order = np.lexsort([*keys.reshape(-1, len(rows))[::-1], [d for d, _ in rows]])
-    return chis[order]
+def character_table(group: FiniteGroup) -> CharacterTable:
+    """The complex character table, computed exactly by :func:`_characters`."""
+    classes, table, _, degrees = _characters(group, *_field(group))
+    table.flags.writeable = False
+    return CharacterTable(classes=classes, table=table, degrees=degrees)
 
 
 # --- catalogue -----------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from fusionrules import FusionRule, NumericalError, TheoremSurvey, explorer
+from fusionrules.groups import _characters, _field
 
 
 def naive_validate(rule: FusionRule) -> bool:
@@ -242,6 +243,53 @@ def commuting_pair_orbit_count(group) -> int:
         total += sum(1 for g in cz for h in cz if table[g, h] == table[h, g])
     assert total % n == 0
     return total // n
+
+
+def double_by_verlinde(group) -> tuple[tuple[int, ...], np.ndarray]:
+    """Dual map and fusion tensor of the Drinfeld double from its modular S-matrix,
+    mod the prime ``p`` of ``groups._field``.
+
+    Label ``(a, alpha)`` has ``theta(g, h) = alpha(x h x^-1)`` for ``g`` in the
+    class of ``a`` with ``x g x^-1 = a`` and ``h`` commuting with ``g``, else 0,
+    and ``conj theta(g, h) = theta(g, h^-1)``.  Then
+    ``S_XY = (1/|G|) sum_{g, h} conj theta_X(g, h) conj theta_Y(h, g)`` (Coste,
+    Gannon and Ruelle), ``S**2`` is the charge conjugation, and
+    ``N_XY^Z = sum_W S_XW S_YW conj S_ZW / S_0W`` (Verlinde); every ``N`` is
+    below ``|G|**2 < p``, so its residue is the multiplicity.  Labels follow
+    ``drinfeld_double``: by class, then by the centralizer's character rows.
+    The character tables mod p (``groups._characters``, checked on their own
+    elsewhere) are the only code it shares with ``drinfeld_double``.
+    """
+    n, t, inv = group.order, group.table, group.inverses
+    e, p = _field(group)
+    theta = []
+    for cls in group.conjugacy_classes:
+        a = cls[0]
+        cz = group.centralizer_elements(a)
+        sub_classes, _, rows, _ = _characters(group.subgroup(cz), e, p)
+        class_in_cz = {cz[m]: i for i, members in enumerate(sub_classes) for m in members}
+        conjugator = {}
+        for x in range(n):
+            conjugator.setdefault(int(t[t[inv[x], a], x]), x)  # g = x^-1 a x
+        for row in rows:
+            th = np.zeros((n, n), dtype=np.int64)
+            for g, x in conjugator.items():
+                for h in range(n):
+                    if t[g, h] == t[h, g]:
+                        th[g, h] = row[class_in_cz[int(t[t[x, h], inv[x]])]]
+            theta.append(th)
+    theta = np.array(theta)
+    r = len(theta)
+    bar = theta[:, :, list(inv)]
+    inv_n = pow(n, -1, p)
+    s = bar.reshape(r, -1) @ bar.transpose(0, 2, 1).reshape(r, -1).T % p * inv_n % p
+    s_bar = theta.reshape(r, -1) @ theta.transpose(0, 2, 1).reshape(r, -1).T % p * inv_n % p
+    charge = s @ s % p
+    dual = np.argmax(charge, axis=1)
+    assert np.array_equal(charge, np.eye(r, dtype=np.int64)[dual]), "S**2 is not a permutation"
+    weights = s * np.array([pow(int(v), -1, p) for v in s[0]]) % p
+    tensor = (weights[:, None, :] * s[None, :, :] % p) @ s_bar.T % p
+    return tuple(dual.tolist()), tensor
 
 
 def closure_by_fixpoint(rule: FusionRule, seed) -> set:

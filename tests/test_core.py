@@ -84,6 +84,13 @@ class TestFusionRule:
                 FusionRule(labels=("1",), dual=(0,), tensor=t)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("value", [2**64, -2**64])
+    def test_entries_past_64_bits_refused(self, value):
+        # numpy holds these in an object array, which the finiteness check cannot take
+        with pytest.raises(StructuralError) as exc:
+            FusionRule(labels=("1",), dual=(0,), tensor=[[[value]]])
+        assert str(exc.value) == "tensor entries must be numbers within 64 bits, got object"
+
     @pytest.mark.parametrize("value,dtype", [
         (2.0**62, np.float64), (2**63 - 1, np.uint64), (2**63 - 1, np.int64), (1, np.bool_),
     ])

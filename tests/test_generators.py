@@ -21,9 +21,9 @@ from fusionrules import (
     su2k,
     validate,
 )
-from fusionrules.groups import cyclic, symmetric
+from fusionrules.groups import alternating, cyclic, dihedral, direct_product, quaternion8, symmetric
 
-from oracles import commuting_pair_orbit_count, so8_level2_tensor, verlinde_su2k
+from oracles import commuting_pair_orbit_count, double_by_verlinde, so8_level2_tensor, verlinde_su2k
 
 # sha256 of json([labels, dual]) + tensor bytes for the double of every
 # built-in group and of S4, recorded from the per-pair convolution that the
@@ -53,6 +53,24 @@ DOUBLE_HASHES = {
     "z8": "dce7e6b7355159d113ce976265c2d59a085ca925606834fbd5b34f349a6add02",
     "z9": "80a539068f20599be5a15aabe37a12a138f7a4865e68527f129ed5ab9ba9d4df",
 }
+
+# the same hashes for doubles beyond the catalogue (A5 built with max_order=60),
+# recorded from the floating-point character tables that the exact path replaced
+MORE_DOUBLE_HASHES = {
+    "a5": "4dfb30539127fc22d384fe914a6d62410fa4796021168504a7b667315bb595d4",
+    "d8": "4798de05fc0381b3f2b835be88c7d96a83ab92fdd149243d7af8107f6a6b66cf",
+    "q8xz2": "5e789c44bc8b109a6cf5be457e9b25a1ebf9454e4af1ae65ccda9a00bb67b232",
+    "d4xz2": "bc997851da8f2831b28ce9d5eb36ce93fa542f2b03f49ee4426c1256071f5b07",
+}
+
+
+def _more_double_groups():
+    return {
+        "a5": alternating(5),
+        "d8": dihedral(8),
+        "q8xz2": direct_product(quaternion8(), cyclic(2)),
+        "d4xz2": direct_product(dihedral(4), cyclic(2)),
+    }
 
 
 def _double_hash(rule) -> str:
@@ -211,6 +229,8 @@ class TestDrinfeldDouble:
     def test_order_cap(self):
         with pytest.raises(CapacityError):
             drinfeld_double(cyclic(5), max_order=4)
+        with pytest.raises(TypeError):
+            drinfeld_double(cyclic(5), 1e-6)  # a positional tolerance cannot land in max_order
 
     def test_abelian_doubles_are_pointed(self):
         for n in (3, 4):
@@ -230,12 +250,27 @@ class TestDrinfeldDouble:
         for name, group in groups.items():
             assert _double_hash(drinfeld_double(group)) == DOUBLE_HASHES[name], name
 
+    def test_frozen_hashes_beyond_the_catalogue(self):
+        for name, group in _more_double_groups().items():
+            rule = drinfeld_double(group, max_order=60)
+            assert _double_hash(rule) == MORE_DOUBLE_HASHES[name], name
+
+    def test_matches_verlinde_oracle(self):
+        groups = {name: builtin_group(name) for name in builtin_group_names()}
+        groups.update(_more_double_groups())
+        for name, group in groups.items():
+            if commuting_pair_orbit_count(group) <= 100:
+                rule = drinfeld_double(group, max_order=60)
+                dual, tensor = double_by_verlinde(group)
+                assert rule.dual == dual, name
+                assert np.array_equal(rule.tensor, tensor), name
+
     def test_int16_order_limit_ignores_max_order(self, monkeypatch):
         import fusionrules.generators as generators
 
         def no_tables(*args, **kwargs):
             raise AssertionError("a character table was built past the order limit")
 
-        monkeypatch.setattr(generators, "character_table", no_tables)
+        monkeypatch.setattr(generators, "_characters", no_tables)
         with pytest.raises(CapacityError, match="181"):
             drinfeld_double(cyclic(182), max_order=1000)

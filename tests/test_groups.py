@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fusionrules import (
     quaternion8,
     su2k,
 )
-from fusionrules.groups import alternating, symmetric
+from fusionrules.groups import _field, alternating, symmetric
 
 
 class TestFiniteGroup:
@@ -168,11 +169,42 @@ class TestCharacterTable:
         b = character_table(quaternion8())
         assert np.array_equal(a.table, b.table)
 
+    def test_a5_golden_ratio(self):
+        # the first table with irrational values: the 5-cycles split into two classes
+        ct = character_table(alternating(5))
+        assert ct.degrees == (1, 3, 3, 4, 5)
+        assert [len(c) for c in ct.classes] == [1, 20, 15, 12, 12]
+        phi, psi = (1 + 5**0.5) / 2, (1 - 5**0.5) / 2
+        expected = [[1, 1, 1, 1, 1], [3, 0, -1, phi, psi], [3, 0, -1, psi, phi], [4, 1, 0, -1, -1], [5, -1, 1, 0, 0]]
+        assert ct.table.dtype == np.float64
+        assert np.abs(ct.table - expected).max() < 1e-12
+
     def test_class_index_of(self):
         ct = character_table(symmetric(3))
         for n, cls in enumerate(ct.classes):
             for g in cls:
                 assert ct.class_index_of(g) == n
+
+
+class TestField:
+    @staticmethod
+    def _check(g, e):
+        n = g.order
+        assert _field(g) == (e, _field(g)[1])
+        p = _field(g)[1]
+        primes = [q for q in range(n * n + 1, p + 1) if (q - 1) % e == 0 and all(q % d for d in range(2, math.isqrt(q) + 1))]
+        assert primes == [p], n  # p is prime, 1 mod e, above n**2, and the least such
+        assert n * p * p < 2**63  # every sum of the character and double arithmetic fits int64
+
+    def test_cyclic_orders_up_to_the_double_limit(self):
+        for n in range(1, 182):
+            self._check(cyclic(n), n)
+
+    def test_builtin_groups(self):
+        exponents = {"z2xz2": 2, "s3": 6, "d4": 4, "d5": 10, "q8": 4, "a4": 6}
+        for name in builtin_group_names():
+            g = builtin_group(name)
+            self._check(g, exponents.get(name, g.order))
 
 
 def _relabelled(group: FiniteGroup, seed: int) -> FiniteGroup:
