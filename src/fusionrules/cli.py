@@ -87,7 +87,7 @@ def cmd_analyze(args) -> int:
         return 1
     witness = find_cycle(rule)
     series = central_series(rule)
-    dims = fp_dimensions(rule, tolerance=args.tolerance)
+    dims = fp_dimensions(rule)
     theorem_agree = (witness is None) == series.nilpotent
 
     if args.json:
@@ -188,7 +188,7 @@ def cmd_enumerate(args) -> int:
             first = False
         return 0
 
-    result = survey(spec, tolerance=args.tolerance)
+    result = survey(spec)
     if args.json:
         doc = {
             "total": result.total,
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="acyclicity, central series, and dimensions of a rule")
     p.add_argument("path")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bare-axioms", action="store_true",
                    help="drop the imposed vacuum-channel uniqueness axiom and report both "
                         "censuses; with --limit both count only the surveyed rules")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
     return parser
@@ -262,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tolerance = getattr(args, "tolerance", 1.0)
-    if not 0 < tolerance < float("inf"):
-        print(f"error: tolerance must be positive and finite, got {tolerance}", file=sys.stderr)
-        return PARSE_ERROR
     try:
         return args.func(args)
     except FileNotFoundError as exc:

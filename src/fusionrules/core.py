@@ -16,6 +16,8 @@ from . import _kernels
 from .errors import CapacityError, NumericalError, StructuralError
 
 POWER_ITERATION_CAP = 10**6
+FP_TOLERANCE = 1e-6  # the float checks of non-integral dims
+FP_DIM_CAP = 2**17  # from here on those checks could miss an integer dim
 
 __all__ = [
     "FusionRule",
@@ -335,7 +337,6 @@ class FPDimData:
 
     dims: tuple[float, ...]
     global_dim: float
-    tolerance: float
     is_integral: bool
     is_weakly_integral: bool
 
@@ -343,29 +344,45 @@ class FPDimData:
         return iter(self.dims)
 
 
-def _near_positive_integer(x: float, tolerance: float) -> bool:
-    return abs(x - round(x)) <= tolerance and round(x) >= 1
+def _integer_dims(N: np.ndarray, d: np.ndarray, top: int) -> np.ndarray | None:
+    """``m = rint(d)`` when ``m >= 1`` and ``sum_c N[a,b,c] m_c == m_a m_b``
+    exactly in int64, else None.  A positive eigenvector of a non-negative
+    matrix belongs to its spectral radius, so ``m`` holds the FP dimensions.
+    ``top`` bounds the entries, so no term passes ``rank * top * max(m)``."""
+    r = N.shape[0]
+    m = np.rint(d)
+    # at a = b = argmax, m_a**2 = sum_c N[a,a,c] m_c <= r * top * m_a fails for a larger m
+    if m.min() < 1 or float(m.max()) > r * top:
+        return None
+    if r * top * int(m.max()) > 2**63 - 1:
+        raise CapacityError(f"integer FP-dim check: {r} * {top} * {int(m.max())} is past 2**63 - 1")
+    m = m.astype(np.int64)
+    return m if np.array_equal(np.einsum("abc,c->ab", N, m), np.outer(m, m)) else None
 
 
-def fp_dimensions(rule: FusionRule, tolerance: float = 1e-6) -> FPDimData:
-    """Per-label spectral radii of the fusion matrices and the global dimension.
+def fp_dimensions(rule: FusionRule) -> FPDimData:
+    """FP dimensions, global dimension and integrality verdicts of a fusion
+    ring; the verdicts presume one, so validate first.
 
-    FP dimensions are the unique positive character of a based ring, so one
-    Perron vector ``v`` of ``sum_i N_i`` gives them all: power iteration from
-    the all-ones vector (threshold ``tolerance * 1e-2``, cap ``10**6``), scaled
-    to ``d = v / v[0]``.  Each dim is the Rayleigh quotient ``(N_i d).d / d.d``.
-    The multiplicativity residual bound
-    ``|dims_i d_j - sum_k N[i,j,k] d_k| <= tolerance * (1 + dims_i) * d_j``
-    must hold; by the Collatz-Wielandt bounds it makes each dim its matrix's
-    spectral radius to within ``tolerance * (1 + dims_i)``.
+    Power iteration on ``sum_i N_i`` (threshold ``FP_TOLERANCE * 1e-2``, cap
+    ``10**6``) gives a Perron vector ``d`` with ``d[0] = 1``.  If
+    ``_integer_dims`` accepts it, the rule is integral with those exact dims.
+    Otherwise the dims are Rayleigh quotients ``(N_i d).d / d.d`` that must pass
+    ``|dims_i d_j - sum_k N[i,j,k] d_k| <= FP_TOLERANCE * (1 + dims_i) * d_j``.
+    By Collatz-Wielandt and that bound at ``j = 0``, ``d_i`` is then within
+    ``2 * FP_TOLERANCE * (1 + dims_i)`` of its spectral radius, under 1/2 below
+    ``FP_DIM_CAP``, so no integer dim was missed; a larger dim raises
+    ``CapacityError``.  Weakly integral is integral on the adjoint sub-rule:
+    ``d_x**2 = sum_c N[x, dual x, c] d_c``, and weakly integral fusion
+    categories have ``d_x**2`` in Z (Etingof-Nikshych-Ostrik, Prop. 8.27).
     """
-    if not 0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    threshold = tolerance * 1e-2
+    from .nilpotency import adjoint_subrule  # nilpotency imports this module
+
+    threshold = FP_TOLERANCE * 1e-2
     N = rule.tensor
-    _radius, resid, _its, v = _kernels.power_radius(
-        N.sum(axis=0).astype(np.float64), threshold, POWER_ITERATION_CAP
-    )
+    M = N.sum(axis=0)
+    top = int(M.max())
+    _, resid, _, v = _kernels.power_radius(M.astype(np.float64), threshold, POWER_ITERATION_CAP)
     with np.errstate(all="ignore"):
         d = v / v[0]
     if resid > threshold or not np.all(np.isfinite(d) & (d > 0)):
@@ -374,28 +391,29 @@ def fp_dimensions(rule: FusionRule, tolerance: float = 1e-6) -> FPDimData:
             f"(eigen-residual {resid:.3e})",
             residual=float(resid),
         )
+    m = _integer_dims(N, d, top)
+    if m is not None:
+        dims = m.astype(np.float64)  # exact; in float the sum of squares cannot wrap
+        return FPDimData(tuple(dims.tolist()), float(dims.dot(dims)), True, True)
     # a tiny Perron entry can overflow the products below or underflow the
     # bound to 0, so the bound must be finite and hold; NaN fails it too
     with np.errstate(all="ignore"):
         T = np.einsum("ijk,k->ij", N, d)
         dims = T.dot(d) / d.dot(d)
         residual = np.abs(np.outer(dims, d) - T)
-        bound = tolerance * np.outer(1.0 + dims, d)
+        bound = FP_TOLERANCE * np.outer(1.0 + dims, d)
         failed = ~(np.isfinite(bound) & (residual <= bound))
         if failed.any():
             raise NumericalError(
                 "fusion-matrix spectral radii fail the multiplicativity residual bound",
-                residual=float((residual[failed] / bound[failed]).max() * tolerance),
+                residual=float((residual[failed] / bound[failed]).max() * FP_TOLERANCE),
             )
-    global_dim = float(np.sum(dims * dims))
-    dims = tuple(dims.tolist())
-    return FPDimData(
-        dims=dims,
-        global_dim=global_dim,
-        tolerance=tolerance,
-        is_integral=all(_near_positive_integer(x, tolerance) for x in dims),
-        is_weakly_integral=_near_positive_integer(global_dim, tolerance),
-    )
+    if dims.max() >= FP_DIM_CAP:
+        raise CapacityError(f"FP dimension {dims.max():.8g} is 2**17 or more, past which "
+                            "rounding could miss an integer")
+    ad = np.array(adjoint_subrule(rule).members)
+    weak = ad.size < N.shape[0] and _integer_dims(N[np.ix_(ad, ad, ad)], d[ad], top) is not None
+    return FPDimData(tuple(dims.tolist()), float(np.sum(dims * dims)), False, weak)
 
 
 def product(a: FusionRule, b: FusionRule) -> FusionRule:

@@ -286,19 +286,19 @@ def _canonical_key(rule: FusionRule, index: np.ndarray) -> bytes:
     return min(rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist())
 
 
-def _verdicts(rule: FusionRule, tolerance: float) -> tuple[bool, bool, int | None, bool]:
+def _verdicts(rule: FusionRule) -> tuple[bool, bool, int | None, bool]:
     """``(acyclic, nilpotent, nilpotency_class, weakly_integral)`` of a rule."""
     acyclic = is_acyclic(rule)
     series = central_series(rule)
     try:
-        dims = fp_dimensions(rule, tolerance)
+        dims = fp_dimensions(rule)
     except NumericalError as exc:
         exc.rule = rule
         raise
     return acyclic, series.nilpotent, series.nilpotency_class, dims.is_weakly_integral
 
 
-def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
+def survey(spec: EnumSpec) -> TheoremSurvey:
     """Cross-check acyclicity against nilpotency, and weak integrality, over
     every rule of the census.
 
@@ -322,7 +322,7 @@ def survey(spec: EnumSpec, tolerance: float = 1e-6) -> TheoremSurvey:
         unique_vacuum_count += bool(np.count_nonzero(rule.tensor[:, :, 0]) == rule.rank)
         key = _canonical_key(rule, index)
         if key not in verdicts:
-            verdicts[key] = _verdicts(rule, tolerance)
+            verdicts[key] = _verdicts(rule)
         acyclic, nilpotent, c, weakly_integral = verdicts[key]
         acyclic_count += acyclic
         nilpotent_count += nilpotent

@@ -116,9 +116,8 @@ def _so8_2() -> FusionRule:
     report = validate(rule)
     if not report.valid:
         raise StructuralError(f"so8_2 fixture violates fusion axioms: {report.violations[0]}")
-    dims = fp_dimensions(rule)
-    rounded = sorted(round(d) for d in dims.dims)
-    if rounded != [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2] or abs(dims.global_dim - 32.0) > 1e-6:
+    dims = fp_dimensions(rule)  # integral dims are exact, and they give global dim 32
+    if not dims.is_integral or sorted(dims.dims) != [1.0] * 4 + [2.0] * 7:
         raise StructuralError("so8_2 fixture has wrong Frobenius-Perron dimensions")
     if not is_acyclic(rule):
         raise StructuralError("so8_2 fixture must be acyclic")

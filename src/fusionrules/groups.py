@@ -52,9 +52,9 @@ class FiniteGroup:
         if table.min() < 0 or table.max() >= n:
             raise StructuralError("Cayley table entries out of range")
         ident = np.arange(n)
-        for i in range(n):
-            if sorted(table[i]) != list(ident) or sorted(table[:, i]) != list(ident):
-                raise StructuralError(f"Cayley table is not a Latin square at index {i}")
+        bad = (np.sort(table, axis=1) != ident).any(1) | (np.sort(table.T, axis=1) != ident).any(1)
+        if bad.any():  # the least row or column index that is not a permutation
+            raise StructuralError(f"Cayley table is not a Latin square at index {np.argmax(bad)}")
         if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise StructuralError("index 0 must be a two-sided identity")
         if not np.array_equal(table[table, :], table[:, table]):

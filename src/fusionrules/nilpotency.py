@@ -71,7 +71,7 @@ def closure(rule: FusionRule, seed=()) -> LabelSet:
     inside = np.zeros(rule.rank, dtype=bool)
     inside[pending] = True
     tensor = rule.tensor
-    while pending:
+    while pending and not inside.all():  # the full label set is closed
         i = pending.pop()
         idx = np.flatnonzero(inside)
         grown = tensor[i, idx].any(0) | tensor[idx, i].any(0)

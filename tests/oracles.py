@@ -355,7 +355,28 @@ def search_tensors_reference(plan, max_val, rank):
     return solutions
 
 
-def survey_reference(spec, tolerance=1e-6):
+def fp_verdicts_reference(rule: FusionRule):
+    """``(dims, global_dim, is_integral, is_weakly_integral)`` decided in
+    floating point: the Perron vector of ``sum_i N_i`` from a dense
+    eigensolver, each dim its Rayleigh quotient, and a dim or the global
+    dimension counted integral when it lies within 1e-6 of a positive integer.
+    The float test is wrong where ``D**2`` is that close to an integer
+    without being one (``x * x = 1 + n x`` for n = 1001), so it is a
+    reference only on rules away from that edge."""
+    values, vectors = np.linalg.eig(rule.tensor.sum(axis=0).astype(np.float64))
+    v = np.abs(vectors[:, np.argmax(values.real)].real)
+    d = v / v[0]
+    dims = np.einsum("ijk,k->ij", rule.tensor, d) @ d / (d @ d)
+    global_dim = float(dims @ dims)
+
+    def near_positive_integer(x):
+        return abs(x - round(x)) <= 1e-6 and round(x) >= 1
+
+    return (tuple(dims.tolist()), global_dim, all(map(near_positive_integer, dims)),
+            near_positive_integer(global_dim))
+
+
+def survey_reference(spec):
     """``explorer.survey`` with every analysis run on every labelled rule, no
     isomorphism classes: the loop the per-class survey must reproduce."""
     total = unique_vacuum_count = acyclic_count = nilpotent_count = 0
@@ -375,7 +396,7 @@ def survey_reference(spec, tolerance=1e-6):
             c = series.nilpotency_class
             histogram[c] = histogram.get(c, 0) + 1
         try:
-            dims = explorer.fp_dimensions(rule, tolerance)
+            dims = explorer.fp_dimensions(rule)
         except NumericalError as exc:
             exc.rule = rule
             raise

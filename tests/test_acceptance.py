@@ -93,7 +93,7 @@ def test_criterion_2_su2_levels():
 
 def test_criterion_3_so8_2_fixture():
     rule = named_fixture("so8_2")
-    dims = fp_dimensions(rule, tolerance=1e-6)
+    dims = fp_dimensions(rule)
     rounded = sorted(round(d) for d in dims.dims)
     ok = (
         rule.rank == 11
@@ -133,7 +133,7 @@ def test_criterion_5_weak_integrality(full_corpus):
     for name, rule in full_corpus.items():
         if name.startswith("_") or not is_acyclic(rule):
             continue
-        if not fp_dimensions(rule, tolerance=1e-6).is_weakly_integral:
+        if not fp_dimensions(rule).is_weakly_integral:
             failures.append(name)
     _report(5, "every acyclic rule in the corpus is weakly integral", not failures,
             f"failures: {failures!r}" if failures else "0 failures")

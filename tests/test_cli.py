@@ -228,10 +228,13 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-6"])
     def test_bad_tolerance_exit_two(self, ising_path, capsys, tolerance):
-        assert main(["analyze", ising_path, f"--tolerance={tolerance}"]) == 2
+        # the verdicts are exact, so `analyze` has no --tolerance and argparse refuses it
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", ising_path, f"--tolerance={tolerance}"])
+        assert info.value.code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "tolerance must be positive and finite" in err
+        assert f"unrecognized arguments: --tolerance={tolerance}" in err
+        assert "Traceback" not in err
 
     def test_bad_tolerance_refused_before_validate(self, ising_path, capsys, monkeypatch):
         def fail(rule):
@@ -239,8 +242,25 @@ class TestAnalyzeCommand:
 
         monkeypatch.setattr(core, "validate", fail)
         monkeypatch.setattr(cli, "validate", fail)
-        assert main(["analyze", ising_path, "--tolerance", "nan"]) == 2
-        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got nan\n"
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", ising_path, "--tolerance", "nan"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tolerance nan" in capsys.readouterr().err
+
+    def test_fp_dim_past_cap_exit_two(self, tmp_path, capsys):
+        # x * x = 1 + n x has d_x just above n: 2**17 - 1 decides, 2**17 is refused
+        for n, code in ((2**17 - 1, 0), (2**17, 2)):
+            doc = {"rank": 2, "dual": [0, 1],
+                   "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, n]]}
+            path = tmp_path / f"big{n}.rule"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["analyze", str(path)]) == code
+            captured = capsys.readouterr()
+            if code == 0:
+                assert "weakly integral: no" in captured.out and not captured.err
+            else:
+                assert len(captured.err.splitlines()) == 1
+                assert captured.err.startswith("error: FP dimension 131072 is 2**17 or more")
 
     def test_json_keys_stable(self, ising_path, capsys):
         assert main(["analyze", ising_path, "--json"]) == 0
@@ -472,20 +492,25 @@ class TestEnumerateCommand:
         assert (doc["total"], doc["total_with_vacuum_uniqueness"]) == (6, imposed)
 
     def test_survey_nan_tolerance_exit_two(self, capsys):
-        assert main(["enumerate", "--rank", "2", "--max-mult", "1", "--survey",
-                     "--tolerance", "nan"]) == 2
+        # the survey's verdicts are exact, so `enumerate` has no --tolerance
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--rank", "2", "--max-mult", "1", "--survey",
+                  "--tolerance", "nan"])
+        assert info.value.code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "tolerance must be positive and finite" in err
+        assert "unrecognized arguments: --tolerance nan" in err
+        assert "Traceback" not in err
 
     def test_bad_tolerance_refused_before_search(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("search ran")
 
         monkeypatch.setattr(_kernels, "search_tensors", fail)
-        assert main(["enumerate", "--rank", "4", "--max-mult", "3", "--survey",
-                     "--tolerance", "nan"]) == 2
-        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got nan\n"
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--rank", "4", "--max-mult", "3", "--survey",
+                  "--tolerance", "nan"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tolerance nan" in capsys.readouterr().err
 
     def test_out_of_bounds_exit_two(self):
         assert main(["enumerate", "--rank", "9", "--survey"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -11,11 +12,13 @@ from fusionrules import (
     FusionRule,
     NumericalError,
     StructuralError,
+    builtin_group_names,
     core,
     cyclic,
     drinfeld_double,
     dump_rule,
     enumerate_rules,
+    fixture_names,
     fp_dimensions,
     is_acyclic,
     named_fixture,
@@ -29,12 +32,13 @@ from fusionrules.core import (
     _assoc_dense,
     _assoc_sparse,
     _associativity_defects,
+    _integer_dims,
     _nonzero,
     default_labels,
 )
 from fusionrules.groups import builtin_group
 
-from oracles import associativity_defect_list, naive_validate
+from oracles import associativity_defect_list, fp_verdicts_reference, naive_validate
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -337,13 +341,25 @@ class TestAssociativityDefects:
             assert found == [d[:4] for d in expected]
 
 
+def _named_fp_rules():
+    """The fixtures and their pairwise products, SU(2)_k for k = 1..60, and
+    the pointed rule and the double of every built-in group, one at a time."""
+    fixtures = {name: named_fixture(name) for name in fixture_names()}
+    yield from fixtures.items()
+    for (a, rule_a), (b, rule_b) in itertools.combinations_with_replacement(fixtures.items(), 2):
+        yield f"{a}x{b}", product(rule_a, rule_b)
+    for k in range(1, 61):
+        yield f"su2k:{k}", su2k(k)
+    for name in builtin_group_names():
+        yield f"pointed:{name}", pointed(builtin_group(name))
+        yield f"double:{name}", drinfeld_double(builtin_group(name))
+
+
 class TestFPDimensions:
     def test_so8_2_dims(self):
-        dims = fp_dimensions(named_fixture("so8_2"), tolerance=1e-6)
-        assert sorted(round(d) for d in dims.dims) == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
-        assert max(abs(d - round(d)) for d in dims.dims) <= 1e-6
-        assert abs(dims.global_dim - 32.0) <= 1e-6
+        dims = fp_dimensions(named_fixture("so8_2"))
         assert dims.is_integral and dims.is_weakly_integral
+        assert sorted(dims.dims) == [1.0] * 4 + [2.0] * 7  # so the global dim is 32
 
     def test_fibonacci_golden_ratio(self):
         dims = fp_dimensions(named_fixture("fibonacci"))
@@ -368,8 +384,8 @@ class TestFPDimensions:
 
     def test_determinism(self):
         rule = named_fixture("so8_2")
-        a = fp_dimensions(rule, tolerance=1e-6)
-        b = fp_dimensions(rule, tolerance=1e-6)
+        a = fp_dimensions(rule)
+        b = fp_dimensions(rule)
         assert all(abs(x - y) <= 2e-6 for x, y in zip(a.dims, b.dims))
 
     def test_matches_dense_eigensolver(self, corpus):
@@ -416,10 +432,53 @@ class TestFPDimensions:
             with pytest.raises(NumericalError):
                 fp_dimensions(rule)
 
-    def test_tolerance_must_be_positive(self):
-        for tolerance in (0.0, -1e-6, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                fp_dimensions(named_fixture("ising"), tolerance=tolerance)
+    @pytest.mark.parametrize("n, near_integer", [(999, False), (1001, True), (2000, True)])
+    def test_near_integer_global_dim_is_not_weakly_integral(self, n, near_integer):
+        # x * x = 1 + n x: D**2 = n**2 + 3 - O(1/n**2) lies within 1e-6 of an
+        # integer for n = 1001 and 2000, which a float test read as weakly integral
+        rule = rank2_rule(self_channel=n)
+        assert validate(rule).valid
+        dims = fp_dimensions(rule)
+        assert (abs(dims.global_dim - round(dims.global_dim)) <= 1e-6) == near_integer
+        assert not dims.is_integral and not dims.is_weakly_integral
+
+    def test_dim_cap(self):
+        dims = fp_dimensions(rank2_rule(self_channel=2**17 - 1))
+        assert dims.dims[1] < core.FP_DIM_CAP
+        assert not dims.is_integral and not dims.is_weakly_integral
+        with pytest.raises(CapacityError, match="2\\*\\*17"):
+            fp_dimensions(rank2_rule(self_channel=2**17))
+
+    def test_integer_dims_overflow_guard(self):
+        N = pointed(cyclic(2)).tensor
+        ones = np.ones(2)
+        # rank * top * max(m) must stay within 2**63 - 1
+        assert list(_integer_dims(N, ones, (2**63 - 1) // 2)) == [1, 1]
+        with pytest.raises(CapacityError, match="2\\*\\*63 - 1"):
+            _integer_dims(N, ones, (2**63 - 1) // 2 + 1)
+        N = named_fixture("toric").tensor
+        assert list(_integer_dims(N, np.ones(4), (2**63 - 1) // 4)) == [1] * 4
+        with pytest.raises(CapacityError, match="2\\*\\*63 - 1"):
+            _integer_dims(N, np.ones(4), (2**63 - 1) // 4 + 1)
+
+    def test_integer_dims_rejects_a_non_eigenvector(self):
+        fib = named_fixture("fibonacci").tensor
+        assert _integer_dims(fib, np.array([1.0, 1.618]), 2) is None
+        assert _integer_dims(fib, np.array([1.0, 0.4]), 2) is None  # rounds to 0
+        assert _integer_dims(fib, np.array([1.0, 9.0]), 2) is None  # past rank * top
+
+    @pytest.mark.parametrize("census", ["named", (4, 3), (5, 1), (5, 2)])
+    def test_matches_float_reference(self, census):
+        if census == "named":
+            rules = _named_fp_rules()
+        else:
+            rules = ((f"r{census}:{n}", r) for n, r in enumerate(enumerate_rules(EnumSpec(*census))))
+        for name, rule in rules:
+            dims = fp_dimensions(rule)
+            ref_dims, ref_global, integral, weakly_integral = fp_verdicts_reference(rule)
+            assert (dims.is_integral, dims.is_weakly_integral) == (integral, weakly_integral), name
+            assert np.allclose(dims.dims, ref_dims, rtol=1e-9, atol=1e-9), name
+            assert abs(dims.global_dim - ref_global) <= 1e-9 * ref_global, name
 
 
 class TestProduct:

@@ -414,10 +414,10 @@ class TestSurveyPerClass:
         assert first != target and first != rules[0]
         real = explorer.fp_dimensions
 
-        def failing(rule, tolerance=1e-6):
+        def failing(rule):
             if isomorphic(rule, target):
                 raise NumericalError("no convergence")
-            return real(rule, tolerance)
+            return real(rule)
 
         monkeypatch.setattr(explorer, "fp_dimensions", failing)
         with pytest.raises(NumericalError) as info:

@@ -167,7 +167,7 @@ class TestNamedFixture:
         rule = named_fixture("so8_2")
         assert rule.rank == 11
         assert rule.dual == tuple(range(11))
-        dims = fp_dimensions(rule, tolerance=1e-6)
+        dims = fp_dimensions(rule)
         assert sorted(round(d) for d in dims.dims) == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
         assert abs(dims.global_dim - 32.0) <= 1e-6
         assert is_acyclic(rule)

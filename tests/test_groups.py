@@ -42,6 +42,15 @@ class TestFiniteGroup:
         with pytest.raises(StructuralError):
             FiniteGroup(table=loop)
 
+    @pytest.mark.parametrize("cell, index", [((3, 4), 3), ((4, 2), 2)])
+    def test_latin_square_message_names_least_index(self, cell, index):
+        # one changed cell breaks its row and its column; the lesser index is
+        # a row for (3, 4) and a column for (4, 2)
+        table = cyclic(5).table.copy()
+        table[cell] = (table[cell] + 1) % 5
+        with pytest.raises(StructuralError, match=f"^Cayley table is not a Latin square at index {index}$"):
+            FiniteGroup(table=table)
+
     def test_inverses(self):
         g = cyclic(6)
         assert g.inverses == (0, 5, 4, 3, 2, 1)
