@@ -151,6 +151,8 @@ def _associativity_defects(N: np.ndarray):
     int64 sparse path, which expands ``sum_m in(m) * (out(m) + mid(m))``
     terms, counted over the nonzeros with ``m`` as their last, first and
     middle index, against the dense path's ``2 * rank**5`` multiply-adds.
+    Before either, a tensor that ``_commuting_certificate`` proves associative
+    yields nothing; every other tensor is listed as above.
     """
     r = N.shape[0]
     top = int(N.max())
@@ -159,12 +161,83 @@ def _associativity_defects(N: np.ndarray):
             f"associativity check needs rank * max(N)**2 <= 2**63 - 1; this rank-{r} "
             f"tensor has max entry {top}"
         )
+    if _commuting_certificate(N, top):
+        return
     nonzero = a, b, c = _nonzero(N)
     into, out, mid = (np.bincount(x, minlength=r) for x in (c, a, b))
     if r * top**2 > 2**24 or _SPARSE_TERM_COST * int(into @ (out + mid)) < 2 * r**5:
         yield from _assoc_sparse(N, nonzero)
     else:
         yield from _assoc_dense(N)
+
+
+# A prime with rank * p**2 < 2**63 up to rank 8,191, far past any cube in memory.
+_KRYLOV_PRIME = 33_554_393
+_CYCLIC_DRAWS = 3
+
+
+def _commuting_certificate(N: np.ndarray, top: int) -> bool:
+    """True only when every associativity defect of ``N`` is 0, proved in
+    ``rank**4`` work; False leaves the question open.
+
+    For a commutative tensor (``N[a,b,c] == N[b,a,c]``) the defect at
+    ``(i, j, k, l)`` is ``[N_i, N_k][j, l]`` with ``N_i = N[i]``.  Take
+    ``A = sum_i c_i N_i`` with seeded integers ``c_i``.  When some ``v`` has a
+    Krylov matrix ``v, vA, ..., vA**(rank-1)`` of full rank mod a prime, its
+    determinant is a nonzero integer, so ``A`` is cyclic over Q and only the
+    polynomials in ``A`` commute with it.  Then ``N_i A == A N_i`` for every
+    ``i``, checked exactly one slab at a time, puts every ``N_i`` in Q[A], so
+    they commute pairwise.  Entries of those products are at most
+    ``rank * max(A) * top``, so float32 BLAS is exact while that is within
+    2**24 and float64 within 2**53; past that, or for a non-commutative
+    tensor, or with no cyclic ``A`` in ``_CYCLIC_DRAWS`` draws, it is False.
+    """
+    r, p = N.shape[0], _KRYLOV_PRIME
+    if r * p * p >= 2**63 or not np.array_equal(N, N.transpose(1, 0, 2)):
+        return False
+    # the caller's rank * top**2 <= 2**63 - 1 keeps sum_i N_i from wrapping;
+    # r * top * max(A) <= bound * max(c), and c takes at least 1,024 values
+    # within float32's exact range or else float64's
+    bound = max(1, r * top * int(N.sum(axis=0).max()))
+    if bound > 2**43:
+        return False
+    limit, dtype = (2**24, np.float32) if bound <= 2**14 else (2**53, np.float64)
+    rng = np.random.default_rng(0)
+    for _ in range(_CYCLIC_DRAWS):
+        A = np.einsum("i,ijk->jk", rng.integers(1, limit // bound, size=r, endpoint=True), N)
+        A_p, v = A % p, rng.integers(1, p, size=r)
+        krylov = np.empty((r, r), dtype=np.int64)
+        for n in range(r):
+            krylov[n], v = v, v @ A_p % p
+        if _full_rank_mod(krylov, p):
+            break
+    else:
+        return False
+    Af = A.astype(dtype)
+    for i in range(r):
+        Ni = N[i].astype(dtype)
+        if not np.array_equal(Ni @ Af, Af @ Ni):
+            return False
+    return True
+
+
+def _full_rank_mod(K: np.ndarray, p: int) -> bool:
+    """Whether the square matrix ``K``, with entries in ``[0, p)``, is
+    invertible mod ``p``, by elimination.  Only the pivot row and column are
+    reduced; each step takes less than ``p**2`` off the rest, so within
+    ``rank * p**2 < 2**63`` nothing wraps."""
+    K = K.copy()
+    for j in range(len(K)):
+        col = K[j:, j] % p
+        if not col[0]:
+            nonzero = np.flatnonzero(col)
+            if not nonzero.size:
+                return False
+            s = nonzero[0]
+            K[[j, j + s]], col[[0, s]] = K[[j + s, j]], col[[s, 0]]
+        row = K[j, j + 1:] % p * pow(int(col[0]), -1, p) % p
+        K[j + 1:, j + 1:] -= np.outer(col[1:], row)
+    return True
 
 
 def _assoc_dense(N: np.ndarray):
@@ -365,7 +438,9 @@ def fp_dimensions(rule: FusionRule) -> FPDimData:
     ring; the verdicts presume one, so validate first.
 
     Power iteration on ``sum_i N_i`` (threshold ``FP_TOLERANCE * 1e-2``, cap
-    ``10**6``) gives a Perron vector ``d`` with ``d[0] = 1``.  If
+    ``10**6``) gives a Perron vector ``d`` with ``d[0] = 1``; a tensor whose
+    ``rank * max(N)`` is past 2**63 - 1, where that sum could wrap, raises
+    ``CapacityError`` first.  If
     ``_integer_dims`` accepts it, the rule is integral with those exact dims.
     Otherwise the dims are Rayleigh quotients ``(N_i d).d / d.d`` that must pass
     ``|dims_i d_j - sum_k N[i,j,k] d_k| <= FP_TOLERANCE * (1 + dims_i) * d_j``.
@@ -380,6 +455,9 @@ def fp_dimensions(rule: FusionRule) -> FPDimData:
 
     threshold = FP_TOLERANCE * 1e-2
     N = rule.tensor
+    if N.shape[0] * int(N.max()) > 2**63 - 1:  # validate refuses these first
+        raise CapacityError(f"sum_i N_i needs rank * max(N) <= 2**63 - 1; this rank-{N.shape[0]} "
+                            f"tensor has max entry {int(N.max())}")
     M = N.sum(axis=0)
     top = int(M.max())
     _, resid, _, v = _kernels.power_radius(M.astype(np.float64), threshold, POWER_ITERATION_CAP)

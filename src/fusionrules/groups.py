@@ -57,10 +57,23 @@ class FiniteGroup:
             raise StructuralError(f"Cayley table is not a Latin square at index {np.argmax(bad)}")
         if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise StructuralError("index 0 must be a two-sided identity")
-        if not np.array_equal(table[table, :], table[:, table]):
-            raise StructuralError("Cayley table is not associative")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+        if not self._associative():
+            raise StructuralError("Cayley table is not associative")
+
+    def _associative(self) -> bool:
+        """Light's test over a greedily built generating set: the ``s`` with
+        ``(x s) y == x (s y)`` for all ``x, y`` are closed under products, so
+        checking the generators checks every element, in ``n**2`` work each."""
+        t, generators, members = self.table, [], {0}
+        for s in range(self.order):
+            if s not in members:
+                if not np.array_equal(t[t[:, s], :], t[:, t[s]]):
+                    return False
+                generators.append(s)
+                members = set(self.generated_subgroup(generators))
+        return True
 
     @property
     def order(self) -> int:

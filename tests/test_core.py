@@ -32,11 +32,13 @@ from fusionrules.core import (
     _assoc_dense,
     _assoc_sparse,
     _associativity_defects,
+    _commuting_certificate,
+    _full_rank_mod,
     _integer_dims,
     _nonzero,
     default_labels,
 )
-from fusionrules.groups import builtin_group
+from fusionrules.groups import builtin_group, dihedral, symmetric
 
 from oracles import associativity_defect_list, fp_verdicts_reference, naive_validate
 
@@ -261,10 +263,16 @@ class TestValidate:
         assert validate(drinfeld_double(builtin_group("z16"))).valid
 
     def test_associativity_path_follows_predicted_work(self, monkeypatch):
+        # commutative rules are proved associative by the certificate; the
+        # non-commutative pointed rules of D20 (rank 40) and S3 x SU(2)_3
+        # (rank 24) are listed, on the side their predicted work picks
         taken = record_paths(monkeypatch)
         assert validate(drinfeld_double(builtin_group("z10"))).valid
         assert validate(su2k(20)).valid
-        assert taken == ["_assoc_sparse", "_assoc_dense"]
+        assert validate(pointed(dihedral(20))).valid
+        assert validate(product(su2k(3), pointed(symmetric(3)))).valid
+        assert taken == ["_commuting_certificate", "_commuting_certificate",
+                         "_assoc_sparse", "_assoc_dense"]
 
     def test_rules_are_hashable(self):
         assert len({named_fixture("ising"), named_fixture("ising")}) == 1
@@ -282,9 +290,20 @@ def sparse_defects(t):
 
 
 def record_paths(monkeypatch) -> list:
-    """Patch both associativity paths to append their name to the returned
-    list each time ``_associativity_defects`` takes one."""
+    """Patch the certificate and both listing paths to append their name to
+    the returned list each time ``_associativity_defects`` takes one: the
+    certificate when it proves a tensor associative, a listing path when it
+    is called."""
     taken = []
+    certify = core._commuting_certificate
+
+    def certified(*args):
+        proved = certify(*args)
+        if proved:
+            taken.append("_commuting_certificate")
+        return proved
+
+    monkeypatch.setattr(core, "_commuting_certificate", certified)
     for name in ("_assoc_sparse", "_assoc_dense"):
         helper = getattr(core, name)
 
@@ -339,6 +358,117 @@ class TestAssociativityDefects:
             report = validate(FusionRule(labels=rule.labels, dual=rule.dual, tensor=t))
             found = [v.index for v in report.violations if v.axiom == "associativity"]
             assert found == [d[:4] for d in expected]
+
+
+@st.composite
+def commutative_tensors(draw):
+    """Random tensors made commutative, ``N[a,b,c] == N[b,a,c]``, with entries 0..3."""
+    r = draw(st.integers(1, 8))
+    raw = draw(st.binary(min_size=r**3, max_size=r**3))  # bytes draw far faster than int lists
+    t = (np.frombuffer(raw, dtype=np.uint8) % 4).astype(np.int64).reshape(r, r, r)
+    return np.maximum(t, t.transpose(1, 0, 2))
+
+
+def certified(t) -> bool:
+    return _commuting_certificate(t, int(t.max()))
+
+
+class TestCommutingCertificate:
+    """The certificate proves only tensors without a defect, and proves every
+    commutative rule of the corpus; whatever it refuses is listed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(commutative_tensors())
+    def test_matches_dense_reference_on_commutative_tensors(self, t):
+        expected = associativity_defect_list(t)
+        assert list(_associativity_defects(t)) == expected
+        if expected:
+            assert not certified(t)
+
+    @pytest.mark.parametrize("name,mutations", [
+        ("su2k_20", 8), ("double_z6", 4), ("so8_2_x_toric", 2), ("double_z10", 2),
+    ])
+    def test_refuses_commutative_mutants(self, name, mutations):
+        rule = {
+            "su2k_20": lambda: su2k(20),
+            "double_z6": lambda: drinfeld_double(builtin_group("z6")),
+            "so8_2_x_toric": lambda: product(named_fixture("so8_2"), named_fixture("toric")),
+            "double_z10": lambda: drinfeld_double(builtin_group("z10")),
+        }[name]()
+        assert certified(rule.tensor)
+        rng = np.random.default_rng(rule.rank)
+        for _ in range(mutations):
+            t = np.array(rule.tensor)
+            i, j, k = rng.integers(0, rule.rank, size=3)
+            t[i, j, k] = t[j, i, k] = (t[i, j, k] + rng.integers(1, 4)) % 4
+            # the dense oracle needs rank**4 memory, too much at rank 100,
+            # where the sparse path, pinned to it above, is the reference
+            expected = sparse_defects(t) if rule.rank > 50 else associativity_defect_list(t)
+            assert expected
+            assert not certified(t)
+            assert list(_associativity_defects(t)) == expected
+
+    def test_proves_every_commutative_corpus_rule(self, corpus):
+        commutative = {name: rule for name, rule in corpus.items()
+                       if np.array_equal(rule.tensor, rule.tensor.transpose(1, 0, 2))}
+        assert {name for name in corpus if name not in commutative} == {
+            f"pointed:{g}" for g in builtin_group_names() if not builtin_group(g).is_abelian}
+        for name, rule in commutative.items():
+            assert certified(rule.tensor), name
+
+    def test_needs_a_cyclic_combination(self, monkeypatch):
+        # a commutative loop of order 6 that is not associative: its
+        # multiplication maps sum to the all-ones matrix, which commutes with
+        # each of them but is not cyclic, so with every draw constant the
+        # commutators alone would pass
+        loop = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                         [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]])
+        t = (loop[:, :, None] == np.arange(6)).astype(np.int64)  # N[a,b,c] = [a*b == c]
+        expected = associativity_defect_list(t)
+        assert expected
+
+        class Constant:
+            def __init__(self, seed):
+                pass
+
+            def integers(self, low, high, size, endpoint=False):
+                return np.full(size, low)
+
+        monkeypatch.setattr(core.np.random, "default_rng", Constant)
+        assert not certified(t)
+        assert list(_associativity_defects(t)) == expected
+
+    def test_non_commutative_rule_is_listed(self, monkeypatch):
+        # every slice the cyclic shift: the slices commute and sum to a cyclic
+        # matrix, but the tensor is not commutative and has defects
+        shift = np.zeros((5, 5, 5), dtype=np.int64)
+        shift[:, np.arange(5), (np.arange(5) + 1) % 5] = 1
+        assert associativity_defect_list(shift) and not certified(shift)
+        rule = pointed(symmetric(3))
+        assert not certified(rule.tensor)
+        taken = record_paths(monkeypatch)
+        assert validate(rule).valid
+        assert taken == ["_assoc_dense"]
+
+    def test_float_range(self, monkeypatch):
+        # x*x = 1 + n*x: r * max(N) * max(sum_i N_i) is 2 * n * (n + 1), which
+        # takes float64 past 2**14 and is past float64's range at n = 2**22
+        taken = record_paths(monkeypatch)
+        for n in (50, 100, 2**21 - 1, 2**22):
+            assert validate(rank2_rule(self_channel=n)).valid
+        assert taken == ["_commuting_certificate"] * 3 + ["_assoc_sparse"]
+
+    def test_full_rank_mod(self):
+        p = core._KRYLOV_PRIME
+        assert _full_rank_mod(np.eye(3, dtype=np.int64), p)
+        assert _full_rank_mod(np.array([[0, 1], [1, 0]]), p)  # a zero pivot swaps rows
+        assert not _full_rank_mod(np.array([[1, 2], [2, 4]]), p)
+        assert not _full_rank_mod(np.array([[2, 1], [1, (p + 1) // 2]]), p)  # det = p
+        # 40 steps of unreduced updates, and a row that is a combination of two others
+        K = np.random.default_rng(3).integers(0, p, size=(40, 40))
+        assert _full_rank_mod(K, p)
+        K[7] = (3 * K[2] + 5 * K[30]) % p
+        assert not _full_rank_mod(K, p)
 
 
 def _named_fp_rules():
@@ -449,6 +579,13 @@ class TestFPDimensions:
         with pytest.raises(CapacityError, match="2\\*\\*17"):
             fp_dimensions(rank2_rule(self_channel=2**17))
 
+    def test_column_sum_overflow_refused(self):
+        # three entries of 2**62 in one column sum past 2**63 - 1 in int64
+        t = np.zeros((3, 3, 3), dtype=np.int64)
+        t[:, 1, 1] = 2**62
+        with pytest.raises(CapacityError, match=r"rank \* max\(N\) <= 2\*\*63 - 1"):
+            fp_dimensions(FusionRule(labels=default_labels(3), dual=(0, 1, 2), tensor=t))
+
     def test_integer_dims_overflow_guard(self):
         N = pointed(cyclic(2)).tensor
         ones = np.ones(2)
@@ -468,11 +605,13 @@ class TestFPDimensions:
         assert _integer_dims(fib, np.array([1.0, 9.0]), 2) is None  # past rank * top
 
     @pytest.mark.parametrize("census", ["named", (4, 3), (5, 1), (5, 2)])
-    def test_matches_float_reference(self, census):
+    def test_matches_float_reference(self, census, request):
         if census == "named":
             rules = _named_fp_rules()
         else:
-            rules = ((f"r{census}:{n}", r) for n, r in enumerate(enumerate_rules(EnumSpec(*census))))
+            stream = (request.getfixturevalue("r5m2_rules") if census == (5, 2)
+                      else enumerate_rules(EnumSpec(*census)))
+            rules = ((f"r{census}:{n}", r) for n, r in enumerate(stream))
         for name, rule in rules:
             dims = fp_dimensions(rule)
             ref_dims, ref_global, integral, weakly_integral = fp_verdicts_reference(rule)

@@ -55,6 +55,13 @@ STREAM_HASHES = {
 RANK4_QUADS = {(0, 1, 2, 3): 72, (0, 1, 3, 2): 57, (0, 2, 1, 3): 57, (0, 3, 2, 1): 57}
 
 
+def census(request, spec):
+    """The rules of ``spec`` in stream order; r5 m2 from its session fixture."""
+    if spec == EnumSpec(rank=5, max_mult=2):
+        return request.getfixturevalue("r5m2_rules")
+    return enumerate_rules(spec)
+
+
 def as_key(rule):
     return rule.dual, rule.tensor.tobytes()
 
@@ -105,8 +112,8 @@ class TestEnumerate:
         assert fast == naive_census(rank, max_mult)
 
     @pytest.mark.parametrize("rank,max_mult", sorted(KNOWN_COUNTS))
-    def test_known_counts(self, rank, max_mult):
-        n = sum(1 for _ in enumerate_rules(EnumSpec(rank=rank, max_mult=max_mult)))
+    def test_known_counts(self, rank, max_mult, request):
+        n = sum(1 for _ in census(request, EnumSpec(rank=rank, max_mult=max_mult)))
         assert n == KNOWN_COUNTS[(rank, max_mult)]
 
     def test_everything_emitted_is_valid(self):
@@ -188,9 +195,9 @@ class TestEnumerate:
             assert strict == naive_census(rank, max_mult, strict=True)
 
     @pytest.mark.parametrize("rank,max_mult,bare_axioms", sorted(STREAM_HASHES))
-    def test_frozen_stream_hash(self, rank, max_mult, bare_axioms):
+    def test_frozen_stream_hash(self, rank, max_mult, bare_axioms, request):
         digest = hashlib.sha256()
-        for rule in enumerate_rules(EnumSpec(rank, max_mult, bare_axioms=bare_axioms)):
+        for rule in census(request, EnumSpec(rank, max_mult, bare_axioms=bare_axioms)):
             digest.update(json.dumps(list(rule.dual)).encode() + rule.tensor.tobytes())
         assert digest.hexdigest() == STREAM_HASHES[(rank, max_mult, bare_axioms)]
 
@@ -326,7 +333,7 @@ class TestSurvey:
         assert result.total == 21
         assert result.clean
 
-    def test_rank_five_multiplicity_two(self):
+    def test_rank_five_multiplicity_two(self, replay_r5m2):
         # recorded from the survey that analysed every labelled rule
         result = survey(EnumSpec(rank=5, max_mult=2))
         assert result.total == result.unique_vacuum_count == 776
@@ -391,7 +398,7 @@ class TestSurveyPerClass:
         assert result == survey_reference(spec)
 
     @pytest.mark.parametrize("name", sorted(CLASS_COUNTS))
-    def test_each_analysis_runs_once_per_class(self, monkeypatch, name):
+    def test_each_analysis_runs_once_per_class(self, monkeypatch, replay_r5m2, name):
         spec, classes = CLASS_COUNTS[name]
         calls = {}
         for analysis in ("fp_dimensions", "central_series", "is_acyclic"):

@@ -39,8 +39,14 @@ class TestFiniteGroup:
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ])
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="^Cayley table is not associative$"):
             FiniteGroup(table=loop)
+        # loop x Z2 with the Z2 factor varying fastest: element 1 is in the
+        # nucleus, so the check passes it and its closure and fails at 2
+        z2 = np.array([[0, 1], [1, 0]])
+        both = loop[:, None, :, None] * 2 + z2[None, :, None, :]
+        with pytest.raises(StructuralError, match="^Cayley table is not associative$"):
+            FiniteGroup(table=both.reshape(10, 10))
 
     @pytest.mark.parametrize("cell, index", [((3, 4), 3), ((4, 2), 2)])
     def test_latin_square_message_names_least_index(self, cell, index):
