@@ -8,6 +8,7 @@ fusion product of ``i`` and ``j``.  Index 0 is always the vacuum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,10 @@ class FusionRule:
         rank = len(labels)
         if rank < 1:
             raise StructuralError("a fusion rule needs at least the vacuum label")
-        dual = tuple(int(d) for d in self.dual)
+        try:
+            dual = tuple(operator.index(d) for d in self.dual)
+        except TypeError as exc:
+            raise StructuralError(f"dual map entries must be integers: {exc}") from None
         if sorted(dual) != list(range(rank)):
             raise StructuralError(f"dual map {dual} is not a permutation of 0..{rank - 1}")
         tensor = np.asarray(self.tensor)
@@ -132,27 +136,15 @@ class ValidationReport:
         )
 
 
-# One sparse term (expand, sort, reduce) costs about 25-65 ns and one float32
-# BLAS multiply-add about 0.025-0.045 ns at rank 30-70 on one core, so the
-# sparse path wins when this many times its term count is below the dense
-# 2 * rank**5 (measured crossover: 2 * rank**5 / terms near 1,400-1,700).
-_SPARSE_TERM_COST = 1500
-
-
 def _associativity_defects(N: np.ndarray):
     """Yield ``(i, j, k, l, lhs - rhs)`` for every violated quadruple, in
     lexicographic order of ``(i, j, k, l)``.
 
     Every partial sum of ``lhs = sum_m N[i,j,m] N[m,k,l]`` (and of ``rhs``) is
-    a non-negative integer no larger than ``rank * max(N)**2``.  That bound
-    picks the arithmetic: float32 is exact up to 2**24 and int64 up to
-    2**63 - 1, and a tensor past it raises ``CapacityError``.  The float32
-    dense path runs only within 2**24 and only when it is cheaper than the
-    int64 sparse path, which expands ``sum_m in(m) * (out(m) + mid(m))``
-    terms, counted over the nonzeros with ``m`` as their last, first and
-    middle index, against the dense path's ``2 * rank**5`` multiply-adds.
-    Before either, a tensor that ``_commuting_certificate`` proves associative
-    yields nothing; every other tensor is listed as above.
+    a non-negative integer no larger than ``rank * max(N)**2``, so int64 is
+    exact up to 2**63 - 1 and a tensor past it raises ``CapacityError``.  A
+    tensor that ``_commuting_certificate`` proves associative yields nothing;
+    every other tensor is listed by ``_assoc_sparse``.
     """
     r = N.shape[0]
     top = int(N.max())
@@ -161,14 +153,8 @@ def _associativity_defects(N: np.ndarray):
             f"associativity check needs rank * max(N)**2 <= 2**63 - 1; this rank-{r} "
             f"tensor has max entry {top}"
         )
-    if _commuting_certificate(N, top):
-        return
-    nonzero = a, b, c = _nonzero(N)
-    into, out, mid = (np.bincount(x, minlength=r) for x in (c, a, b))
-    if r * top**2 > 2**24 or _SPARSE_TERM_COST * int(into @ (out + mid)) < 2 * r**5:
-        yield from _assoc_sparse(N, nonzero)
-    else:
-        yield from _assoc_dense(N)
+    if not _commuting_certificate(N, top):
+        yield from _assoc_sparse(N, _nonzero(N))
 
 
 # A prime with rank * p**2 < 2**63 up to rank 8,191, far past any cube in memory.
@@ -238,30 +224,6 @@ def _full_rank_mod(K: np.ndarray, p: int) -> bool:
         row = K[j, j + 1:] % p * pow(int(col[0]), -1, p) % p
         K[j + 1:, j + 1:] -= np.outer(col[1:], row)
     return True
-
-
-def _assoc_dense(N: np.ndarray):
-    """Float32 BLAS products one ``i`` at a time (rank**3 memory).
-
-    Exact only for ``rank * max(N)**2 <= 2**24``, the tensors
-    ``_associativity_defects`` sends here: every product and partial sum is
-    then an integer in float32's exact range, whatever order BLAS adds in.
-    A slab whose two sides are equal holds no defect and is skipped before
-    the subtraction and the scan.
-    """
-    r = N.shape[0]
-    Nf = N.astype(np.float32)
-    by_m = Nf.reshape(r, r * r)      # m -> (k, l)
-    to_m = Nf.reshape(r * r, r)      # (j, k) -> m
-    for i in range(r):
-        lhs = (Nf[i] @ by_m).reshape(r, r, r)
-        rhs = (to_m @ Nf[i]).reshape(r, r, r)
-        if np.array_equal(lhs, rhs):
-            continue
-        block = lhs - rhs
-        for idx in np.argwhere(block != 0):
-            j, k, l = (int(x) for x in idx)
-            yield i, j, k, l, int(block[j, k, l])
 
 
 def _nonzero(N: np.ndarray):

@@ -181,7 +181,8 @@ def parse_group(text: str) -> FiniteGroup:
         f"table must be a row-major list of {order * order} integers",
     )
     name = data.get("name", "G")
-    return FiniteGroup(table=np.array(table, dtype=np.int64).reshape(order, order), name=str(name))
+    _require(isinstance(name, str), "group name must be a string")
+    return FiniteGroup(table=np.array(table, dtype=np.int64).reshape(order, order), name=name)
 
 
 def _quote(text: str) -> str:

@@ -388,6 +388,12 @@ class TestGenCommand:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_group_file_non_string_name_exit_two(self, tmp_path, capsys):
+        group_file = tmp_path / "bad.json"
+        group_file.write_text(json.dumps({"name": None, "order": 1, "table": [0]}), encoding="utf-8")
+        assert main(["gen", "pointed", "--group", str(group_file)]) == 2
+        assert capsys.readouterr().err.endswith("group name must be a string\n")
+
     def test_double_nan_tolerance_exit_two(self, capsys):
         # the double is exact, so `gen` has no --tolerance and argparse refuses it
         with pytest.raises(SystemExit) as info:

@@ -29,7 +29,6 @@ from fusionrules import (
     validate,
 )
 from fusionrules.core import (
-    _assoc_dense,
     _assoc_sparse,
     _associativity_defects,
     _commuting_certificate,
@@ -71,6 +70,15 @@ class TestFusionRule:
             t = np.zeros((2, 2, 2))
             t[1, 1, 1] = 0.5
             FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t)
+
+    @pytest.mark.parametrize("dual", [(0, 1.9), (0, 1.0), (0, "1"), (0, None), (0, np.float64(1))])
+    def test_dual_entries_must_be_integers(self, dual):
+        with pytest.raises(StructuralError, match="dual map entries must be integers"):
+            FusionRule(labels=("1", "x"), dual=dual, tensor=rank2_rule().tensor)
+
+    def test_numpy_integer_dual_accepted(self):
+        rule = FusionRule(labels=("1", "x"), dual=np.array([0, 1]), tensor=rank2_rule().tensor)
+        assert rule.dual == (0, 1) and all(type(d) is int for d in rule.dual)
 
     @pytest.mark.parametrize("value,dtype,message", [
         (np.inf, np.float64, "tensor entries must be finite"),
@@ -209,9 +217,8 @@ class TestValidate:
             assert keys == sorted(keys)
 
     def test_blocked_associativity_path_at_large_rank(self):
-        # a large pointed rule, which takes the sparse path (2 * 41**3 terms
-        # against 2 * 41**5 dense multiply-adds): one extra channel breaks
-        # associativity
+        # a large pointed rule: one extra channel breaks associativity, and the
+        # listing, not the certificate, reports it
         base = pointed(cyclic(41))
         assert validate(base).valid
         t = np.array(base.tensor)
@@ -241,38 +248,34 @@ class TestValidate:
         assert [v.index for v in found] == [d[:4] for d in expected]
         assert [v.message.rsplit(" = ", 1)[1] for v in found] == [str(d[4]) for d in expected]
 
-    def test_exact_at_the_float32_bound(self, monkeypatch):
-        # rank 4 * (2**11)**2 = 2**24, the largest bound the dense path runs
-        # in float32.  lhs(1,1,2,3) = top * (4*top - 1) and its rhs is 0: above
-        # 2**23 at top = 2**11, and past 2**24 and odd one entry higher, where
-        # float32 would round, so that tensor has to take the sparse path.
-        taken = record_paths(monkeypatch)
+    def test_exact_at_the_float32_bound(self):
+        # rank 4 * (2**11)**2 = 2**24, where float32 stops being exact.
+        # lhs(1,1,2,3) = top * (4*top - 1) and its rhs is 0: above 2**23 at
+        # top = 2**11, and past 2**24 and odd one entry higher, where a float32
+        # product would round; the int64 listing is exact on both
         for top in (2**11, 2**11 + 1):
             t = np.zeros((4, 4, 4), dtype=np.int64)
             t[1, 1] = (top, top, top, top - 1)
             t[:, 2, 3] = top
             expected = associativity_defect_list(t)
             assert (1, 1, 2, 3, top * (4 * top - 1)) in expected
-            if top == 2**11:
-                assert list(_assoc_dense(t)) == expected
             assert list(_associativity_defects(t)) == expected
-        assert taken == ["_assoc_dense", "_assoc_sparse"]
 
     def test_double_of_z16_is_valid(self):
-        # rank 256 at 0.4% density: affordable only on the sparse path
+        # rank 256 at 0.4% density, proved by the certificate
         assert validate(drinfeld_double(builtin_group("z16"))).valid
 
-    def test_associativity_path_follows_predicted_work(self, monkeypatch):
+    def test_associativity_takes_certificate_or_listing(self, monkeypatch):
         # commutative rules are proved associative by the certificate; the
-        # non-commutative pointed rules of D20 (rank 40) and S3 x SU(2)_3
-        # (rank 24) are listed, on the side their predicted work picks
+        # non-commutative pointed rule of D20 (rank 40) and S3 x SU(2)_3
+        # (rank 24) are listed
         taken = record_paths(monkeypatch)
         assert validate(drinfeld_double(builtin_group("z10"))).valid
         assert validate(su2k(20)).valid
         assert validate(pointed(dihedral(20))).valid
         assert validate(product(su2k(3), pointed(symmetric(3)))).valid
         assert taken == ["_commuting_certificate", "_commuting_certificate",
-                         "_assoc_sparse", "_assoc_dense"]
+                         "_assoc_sparse", "_assoc_sparse"]
 
     def test_rules_are_hashable(self):
         assert len({named_fixture("ising"), named_fixture("ising")}) == 1
@@ -290,10 +293,10 @@ def sparse_defects(t):
 
 
 def record_paths(monkeypatch) -> list:
-    """Patch the certificate and both listing paths to append their name to
-    the returned list each time ``_associativity_defects`` takes one: the
-    certificate when it proves a tensor associative, a listing path when it
-    is called."""
+    """Patch the certificate and the listing to append their name to the
+    returned list each time ``_associativity_defects`` takes one: the
+    certificate when it proves a tensor associative, the listing when it is
+    called."""
     taken = []
     certify = core._commuting_certificate
 
@@ -303,15 +306,14 @@ def record_paths(monkeypatch) -> list:
             taken.append("_commuting_certificate")
         return proved
 
+    listing = core._assoc_sparse
+
+    def listed(*args):
+        taken.append("_assoc_sparse")
+        yield from listing(*args)
+
     monkeypatch.setattr(core, "_commuting_certificate", certified)
-    for name in ("_assoc_sparse", "_assoc_dense"):
-        helper = getattr(core, name)
-
-        def counted(*args, helper=helper, name=name):
-            taken.append(name)
-            yield from helper(*args)
-
-        monkeypatch.setattr(core, name, counted)
+    monkeypatch.setattr(core, "_assoc_sparse", listed)
     return taken
 
 
@@ -323,8 +325,8 @@ def small_tensors(draw):
 
 
 class TestAssociativityDefects:
-    """The dispatched check and both of its paths, each called directly,
-    against the dense int64 einsum."""
+    """The dispatched check and its listing, called directly, against the
+    dense int64 einsum."""
 
     @settings(max_examples=300, deadline=None)
     @given(small_tensors())
@@ -332,10 +334,10 @@ class TestAssociativityDefects:
         expected = associativity_defect_list(t)
         assert list(_associativity_defects(t)) == expected
         assert sparse_defects(t) == expected
-        assert list(_assoc_dense(t)) == expected
 
     @pytest.mark.parametrize("name,mutations", [
         ("su2k_20", 12), ("so8_2", 12), ("so8_2_x_toric", 3), ("pointed_z41", 3), ("double_z6", 6),
+        ("su2k_3_x_s3", 1),
     ])
     def test_matches_dense_reference_on_mutations(self, name, mutations):
         rule = {
@@ -344,6 +346,7 @@ class TestAssociativityDefects:
             "so8_2_x_toric": lambda: product(named_fixture("so8_2"), named_fixture("toric")),
             "pointed_z41": lambda: pointed(cyclic(41)),
             "double_z6": lambda: drinfeld_double(builtin_group("z6")),
+            "su2k_3_x_s3": lambda: product(su2k(3), pointed(symmetric(3))),
         }[name]()
         rng = np.random.default_rng(rule.rank)
         for _ in range(mutations):
@@ -354,7 +357,6 @@ class TestAssociativityDefects:
             assert expected
             assert list(_associativity_defects(t)) == expected
             assert sparse_defects(t) == expected
-            assert list(_assoc_dense(t)) == expected
             report = validate(FusionRule(labels=rule.labels, dual=rule.dual, tensor=t))
             found = [v.index for v in report.violations if v.axiom == "associativity"]
             assert found == [d[:4] for d in expected]
@@ -448,7 +450,7 @@ class TestCommutingCertificate:
         assert not certified(rule.tensor)
         taken = record_paths(monkeypatch)
         assert validate(rule).valid
-        assert taken == ["_assoc_dense"]
+        assert taken == ["_assoc_sparse"]
 
     def test_float_range(self, monkeypatch):
         # x*x = 1 + n*x: r * max(N) * max(sum_i N_i) is 2 * n * (n + 1), which

@@ -1,6 +1,8 @@
 """Rule and group files are written byte for byte as the standard library's
 indenting JSON encoder writes them (``tests/oracles.py``)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from fusionrules import (
     FusionRule,
+    StructuralError,
     builtin_group,
     builtin_group_names,
     drinfeld_double,
@@ -102,3 +105,14 @@ class TestDumpGroup:
     def test_escaped_name(self):
         group = FiniteGroup(table=builtin_group("z2").table, name='Z/2 "café" \\ ☃')
         assert dump_group(group) == dump_group_reference(group)
+
+
+class TestParseGroup:
+    @pytest.mark.parametrize("name", [None, 5, {"a": 1}, ["Z2"]])
+    def test_non_string_name_refused(self, name):
+        doc = {"name": name, "order": 2, "table": [0, 1, 1, 0]}
+        with pytest.raises(StructuralError, match="group name must be a string"):
+            parse_group(json.dumps(doc))
+
+    def test_missing_name_defaults(self):
+        assert parse_group(json.dumps({"order": 1, "table": [0]})).name == "G"
