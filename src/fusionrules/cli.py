@@ -7,6 +7,7 @@ structural errors (including capacity and I/O problems).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -216,6 +217,7 @@ def cmd_enumerate(args) -> int:
     return 0 if result.clean else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionrules",

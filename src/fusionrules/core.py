@@ -49,7 +49,12 @@ class FusionRule:
     tensor: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        if isinstance(self.labels, str):
+            raise StructuralError(f"labels must be a sequence of strings, not the string {self.labels!r}")
+        labels = tuple(self.labels)
+        if not all(isinstance(x, str) for x in labels):
+            raise StructuralError(f"labels must be strings: {labels!r}")
+        labels = tuple(map(str, labels))  # str subclasses such as numpy.str_ become str
         rank = len(labels)
         if rank < 1:
             raise StructuralError("a fusion rule needs at least the vacuum label")

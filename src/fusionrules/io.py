@@ -8,6 +8,7 @@ at rank 11.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 
 import numpy as np
@@ -70,22 +71,20 @@ def _is_plain(record) -> bool:
     return type(record) is list and list(map(type, record)) == _FOUR_INTS
 
 
-def _plain_prefix(records: list) -> int:
-    """Length of the leading run of records that are lists of four ``int``s.
-
-    Three set scans run in C; only when one fails does the per-record scan
-    look for the first failing record."""
-    if (
-        set(map(type, records)) <= {list}
-        and set(map(len, records)) <= {4}
-        and set(map(type, chain.from_iterable(records))) <= {int}
-    ):
-        return len(records)
-    return next(n for n, rec in enumerate(records) if not _is_plain(rec))
-
-
 def _int64_rows(records: list) -> np.ndarray:
     return np.fromiter(chain.from_iterable(records), np.int64, 4 * len(records)).reshape(-1, 4)
+
+
+def _leading_rows(records: list) -> np.ndarray:
+    """The records before the first one that is not a list of four ``int``s
+    within int64, as an int64 ``(n, 4)`` array."""
+    stop = next((n for n, rec in enumerate(records) if not _is_plain(rec)), len(records))
+    try:
+        return _int64_rows(records[:stop])
+    except OverflowError:  # the array part ends before the first value outside int64
+        wide = np.array(records[:stop], dtype=object)
+        stop = int(np.flatnonzero(((wide < _INT64_MIN) | (wide > _INT64_MAX)).any(axis=1))[0])
+        return _int64_rows(records[:stop])
 
 
 def _record_fault(record, rank: int) -> str:
@@ -105,6 +104,13 @@ def _record_fault(record, rank: int) -> str:
 
 
 def rule_from_dict(data: dict) -> FusionRule:
+    return _rule_from(data, None)
+
+
+def _rule_from(data: dict, rows: np.ndarray | None) -> FusionRule:
+    """``rule_from_dict``; ``rows``, when given, holds the fusion records as
+    an int64 ``(n, 4)`` array read from the text, and ``data["fusion"]`` is
+    then ``[]``."""
     _require(isinstance(data, dict), "rule document must be a JSON object")
     for key in ("rank", "dual", "fusion"):
         _require(key in data, f"rule document is missing the {key!r} key")
@@ -126,28 +132,96 @@ def rule_from_dict(data: dict) -> FusionRule:
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     records = data["fusion"]
     _require(isinstance(records, list), "fusion must be a list of [i,j,k,mult] records")
-    # the shape checks on the records; everything after them works on arrays
-    stop = _plain_prefix(records)
-    try:
-        arr = _int64_rows(records[:stop])
-    except OverflowError:  # the array part ends before the first value outside int64
-        wide = np.array(records[:stop], dtype=object)
-        stop = int(np.flatnonzero(((wide < _INT64_MIN) | (wide > _INT64_MAX)).any(axis=1))[0])
-        arr = _int64_rows(records[:stop])
-    ijk, mult = arr[:, :3], arr[:, 3]
+    if rows is None:
+        rows = _leading_rows(records)  # the shape checks; everything after them works on arrays
+    else:
+        records = rows
+    ijk, mult = rows[:, :3], rows[:, 3]
     in_range = ((ijk >= 0) & (ijk < rank)).all(axis=1)
     keys = np.where(in_range, (ijk[:, 0] * rank + ijk[:, 1]) * rank + ijk[:, 2], -1)
-    repeat = np.ones(stop, dtype=bool)
+    repeat = np.ones(len(rows), dtype=bool)
     repeat[np.unique(keys, return_index=True)[1]] = False
     bad = np.flatnonzero(~in_range | (mult < 1) | repeat)
-    first = int(bad[0]) if bad.size else stop
+    first = int(bad[0]) if bad.size else len(rows)
     if first < len(records):
-        raise StructuralError(_record_fault(records[first], rank))
+        record = records[first]
+        if isinstance(record, np.ndarray):  # its list has the same repr
+            record = record.tolist()
+        raise StructuralError(_record_fault(record, rank))
     tensor[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = mult
     return FusionRule(labels=tuple(labels), dual=tuple(dual), tensor=tensor)
 
 
+# The reader below takes the fusion records straight from the text when the
+# "fusion" array is the document's last value and holds only records of four
+# non-negative decimal integers of at most 18 digits, in JSON's own layout:
+# no sign, fraction, exponent or leading zero.  Anything else is read by
+# json.loads, so every JSON error and every irregular-record message comes
+# from that one path.
+_FUSION_KEY = re.compile(r'"fusion"[ \t\n\r]*:[ \t\n\r]*\[')
+_JSON_SPACE = " \t\n\r"
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so the values cannot wrap
+
+
+def _split_records(text: str) -> tuple[dict, np.ndarray] | None:
+    """The rule document with an empty fusion array, and its fusion records
+    as an int64 ``(n, 4)`` array; None when ``text`` is not laid out as the
+    reader above accepts."""
+    if not isinstance(text, str):
+        return None
+    key = _FUSION_KEY.search(text)
+    # a backslash before the key's quote escapes it into a string
+    if key is None or text[key.start() - 1:key.start()] == "\\":
+        return None
+    start, stop = key.end() - 1, text.rfind("]") + 1
+    if stop <= start or text[stop:].strip(_JSON_SPACE) != "}":
+        return None
+    try:
+        head = json.loads(text[:start] + "[]" + text[stop:])
+    except json.JSONDecodeError:
+        return None
+    if not (isinstance(head, dict) and head.get("fusion") == []):
+        return None
+    rows = _read_rows(text[start:stop])
+    return None if rows is None else (head, rows)
+
+
+def _read_rows(array: str) -> np.ndarray | None:
+    """``[[i,j,k,m],...]`` with JSON whitespace between tokens as an int64
+    ``(n, 4)`` array, or None."""
+    if not array.isascii():
+        return None
+    raw = array.encode("ascii")
+    packed = raw.translate(None, _JSON_SPACE.encode())
+    if packed == b"[]":
+        return np.empty((0, 4), dtype=np.int64)
+    chars = np.frombuffer(packed, dtype=np.uint8)
+    seps = np.flatnonzero((chars - ord("0")) >= 10)  # every byte but the digits
+    n = (len(seps) - 1) // 6
+    if n < 1 or chars[seps].tobytes() != b"[" + b"[,,,]," * (n - 1) + b"[,,,]]":
+        return None
+    # per record: the "[" or "," before it, its "[", three ",", "]"
+    width = np.diff(seps).reshape(n, 6)[:, 1:5] - 1
+    if width.min() < 1 or width.max() > _MAX_DIGITS or width.sum() != len(packed) - len(seps):
+        return None  # an empty slot, too many digits, or digits outside the slots
+    first = seps[1:].reshape(n, 6)[:, :4] + 1
+    if ((width > 1) & (chars[first] == ord("0"))).any():  # leading zeros
+        return None
+    # removing the whitespace must not have joined two numbers, as in "1 2"
+    digit = (np.frombuffer(raw, dtype=np.uint8) - ord("0")) < 10
+    if np.count_nonzero(digit[1:] > digit[:-1]) != 4 * n:
+        return None
+    rows = chars[first].astype(np.int64) - ord("0")
+    end = first + width
+    for p in range(1, int(width.max())):
+        rows = np.where(width > p, 10 * rows + chars[np.minimum(first + p, end)] - ord("0"), rows)
+    return rows
+
+
 def parse_rule(text: str) -> FusionRule:
+    split = _split_records(text)
+    if split is not None:
+        return _rule_from(*split)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

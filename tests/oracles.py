@@ -11,8 +11,9 @@ import json
 
 import numpy as np
 
-from fusionrules import FusionRule, NumericalError, TheoremSurvey, explorer
+from fusionrules import FusionRule, NumericalError, StructuralError, TheoremSurvey, explorer
 from fusionrules.groups import _characters, _field
+from fusionrules.io import rule_from_dict
 
 
 def naive_validate(rule: FusionRule) -> bool:
@@ -427,3 +428,14 @@ def dump_group_reference(group) -> str:
     """A group file as the standard library's indenting JSON encoder writes it."""
     table = [int(x) for row in group.table for x in row]
     return json.dumps({"order": group.order, "table": table, "name": group.name}, indent=2) + "\n"
+
+
+def parse_rule_reference(text) -> FusionRule:
+    """A rule file read as a whole by ``json.loads``, then checked by
+    ``rule_from_dict``: the path ``parse_rule`` takes for every text its
+    record reader declines."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"rule file is not valid JSON: {exc}") from exc
+    return rule_from_dict(data)

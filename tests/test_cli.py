@@ -6,6 +6,7 @@ import pytest
 
 from fusionrules import (
     EnumSpec,
+    StructuralError,
     _kernels,
     cli,
     core,
@@ -19,6 +20,8 @@ from fusionrules import (
 from fusionrules.cli import main
 from fusionrules.groups import builtin_group
 from fusionrules.io import dot_graph, dump_group, dump_rule, parse_group
+
+from oracles import parse_rule_reference
 
 # sha256 over the sorted conftest corpus of name + "\n" + DOT text, recorded
 # from the adjoint graph built before it shared its adjacency with find_cycle
@@ -182,6 +185,19 @@ class TestParseErrors:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("name", sorted(PARSE_FAULTS))
+    def test_both_layouts_name_the_same_record(self, name, indent):
+        # the faults in plain records are found by the record reader, the
+        # others by json.loads; both must name the record the reference names
+        tail, message = PARSE_FAULTS[name]
+        doc = {"rank": 11, "dual": list(range(11)), "fusion": _valid_records() + tail}
+        text = json.dumps(doc, indent=indent)
+        for parse in (parse_rule, parse_rule_reference):
+            with pytest.raises(StructuralError) as info:
+                parse(text)
+            assert str(info.value) == message
 
     def test_valid_records_parse_to_the_tensor(self):
         records = _valid_records()

@@ -80,6 +80,20 @@ class TestFusionRule:
         rule = FusionRule(labels=("1", "x"), dual=np.array([0, 1]), tensor=rank2_rule().tensor)
         assert rule.dual == (0, 1) and all(type(d) is int for d in rule.dual)
 
+    @pytest.mark.parametrize("labels", [("1", 2.5), ("1", None), ("1", b"x"), (1, "x")])
+    def test_labels_must_be_strings(self, labels):
+        with pytest.raises(StructuralError, match="labels must be strings"):
+            FusionRule(labels=labels, dual=(0, 1), tensor=rank2_rule().tensor)
+
+    def test_one_string_is_not_a_label_sequence(self):
+        # "1x" would otherwise be read as the two labels "1" and "x"
+        with pytest.raises(StructuralError, match="not the string '1x'"):
+            FusionRule(labels="1x", dual=(0, 1), tensor=rank2_rule().tensor)
+
+    def test_string_subclass_labels_become_str(self):
+        rule = FusionRule(labels=np.array(["1", "x"]), dual=(0, 1), tensor=rank2_rule().tensor)
+        assert rule.labels == ("1", "x") and all(type(x) is str for x in rule.labels)
+
     @pytest.mark.parametrize("value,dtype,message", [
         (np.inf, np.float64, "tensor entries must be finite"),
         (-np.inf, np.float64, "tensor entries must be finite"),

@@ -2,6 +2,7 @@
 indenting JSON encoder writes them (``tests/oracles.py``)."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from fusionrules import (
     su2k,
 )
 from fusionrules.groups import FiniteGroup
-from fusionrules.io import dump_group, dump_rule
+from fusionrules.io import dump_group, dump_rule, parse_rule, rule_to_dict
 
-from oracles import dump_group_reference, dump_rule_reference
+from oracles import dump_group_reference, dump_rule_reference, parse_rule_reference
 
 GROUPS_TO_Z12 = sorted(n for n in builtin_group_names() if builtin_group(n).order <= 12)
 
@@ -92,6 +93,136 @@ class TestDumpRule:
         tensor = rng.integers(0, top, size=(rank,) * 3, endpoint=True)
         tensor[rng.random(tensor.shape) < rng.random()] = 0
         _assert_same_bytes(_rule(labels, dual, tensor))
+
+
+ESCAPED_LABELS = ['1', 'say "hi"', "back\\slash", "café", "☃", "tab\tnew\nline\x01"]
+
+# the bytes the mutations below insert: digits, JSON's punctuation and
+# whitespace, and the characters of signs, fractions, exponents and escapes
+MUTATION_ALPHABET = list("0123456789[],-.e\"\\ \n\t\r\x0b")
+
+
+def _layouts(rule):
+    """The layouts this package writes: ``dump_rule`` and ``json.dumps`` of
+    ``rule_to_dict`` with and without indentation."""
+    doc = rule_to_dict(rule)
+    return [dump_rule(rule), json.dumps(doc), json.dumps(doc, indent=2)]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except StructuralError as exc:
+        return f"StructuralError: {exc}"
+
+
+def _assert_same_outcome(text):
+    want = _outcome(parse_rule_reference, text)
+    got = _outcome(parse_rule, text)
+    assert got == want, f"{got!r} != {want!r} for {text[:200]!r}"
+
+
+@st.composite
+def labelled_rules(draw, top=2**63 - 1):
+    """Rules of rank 1 to 3 with any labels (escapes and non-ASCII included)
+    and entries up to ``top``."""
+    rank = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.text(max_size=4), min_size=rank, max_size=rank))
+    dual = draw(st.permutations(range(rank)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = int(rng.choice([1, 4, 10**18 - 1, top]))
+    tensor = rng.integers(0, top, size=(rank,) * 3, endpoint=True)
+    tensor[rng.random(tensor.shape) < rng.random()] = 0
+    return _rule(labels, dual, tensor)
+
+
+def _parse_by_reader(text):
+    """``parse_rule(text)``, failing when ``json.loads`` is handed ``text``
+    itself; the record reader hands it a new string (equal to ``text`` when
+    the fusion array is empty)."""
+    loads = json.loads
+
+    def guarded(doc, *args, **kwargs):
+        assert doc is not text, "the whole text reached json.loads"
+        return loads(doc, *args, **kwargs)
+
+    with mock.patch.object(json, "loads", guarded):
+        return parse_rule(text)
+
+
+class TestParseRule:
+    """``parse_rule`` reads the fusion records of the layouts this package
+    writes straight from the text, and equals ``parse_rule_reference`` (one
+    ``json.loads`` of the whole text) on every text: the same rule, or the
+    same ``StructuralError`` message."""
+
+    def test_written_layouts_take_the_reader(self, corpus):
+        rules = list(corpus.values()) + [
+            su2k(60),
+            product(named_fixture("so8_2"), named_fixture("toric")),
+            _rule(ESCAPED_LABELS, [0, 2, 1, 3, 5, 4], np.arange(6**3).reshape(6, 6, 6) % 3),
+            _rule(["1", "x"], [0, 1], np.full((2, 2, 2), 10**18 - 1)),
+            _rule(["1"], [0], np.zeros((1, 1, 1))),
+        ]
+        for rule in rules:
+            for text in _layouts(rule):
+                assert _parse_by_reader(text) == rule
+
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_rules(top=10**18 - 1))
+    def test_random_rules_take_the_reader(self, rule):
+        for text in _layouts(rule):
+            assert _parse_by_reader(text) == rule
+
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_rules(), st.integers(0, 2))
+    def test_layouts_match_reference(self, rule, layout):
+        text = _layouts(rule)[layout]
+        _assert_same_outcome(text)
+        assert parse_rule(text) == rule
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 2))
+    def test_mutations_match_reference(self, corpus, data, layout):
+        small = [rule for rule in corpus.values() if rule.rank <= 12]
+        rule = data.draw(st.one_of(st.sampled_from(small), labelled_rules()))
+        text = _layouts(rule)[layout]
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            char = "" if edit == "delete" else data.draw(st.sampled_from(MUTATION_ALPHABET))
+            text = text[:at] + char + text[at + (edit != "insert"):]
+        _assert_same_outcome(text)
+
+    HEAD = '{"rank": 2, "labels": ["1", "x"], "dual": [0, 1], '
+    DECLINED = {
+        "leading_zero": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 01]]}',
+        "exponent": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 1e0]]}',
+        "fraction": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 1.0]]}',
+        "minus_zero": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, -0]]}',
+        "split_number": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 1 2]]}',
+        "vertical_tab": HEAD + '"fusion": [[0, 0, 0, 1],\x0b[1, 1, 0, 1]]}',
+        "int64_max": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 9223372036854775807]]}',
+        "above_int64": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 9223372036854775808]]}',
+        "not_last": '{"rank": 1, "fusion": [[0, 0, 0, 1]], "dual": [0]}',
+        "nested": '{"rank": 1, "dual": [0], "x": {"fusion": [[0, 0, 0, 2]]}, "fusion": [[0, 0, 0, 1]]}',
+        "nested_last": '{"rank": 1, "dual": [0], "fusion": [[0, 0, 0, 1]], "x": {"fusion": [[0, 0, 0, 2]]}}',
+        "duplicated": '{"rank": 1, "dual": [0], "fusion": [[0, 0, 0, 2]], "fusion": [[0, 0, 0, 1]]}',
+        "escaped_key": '{"rank": 1, "dual": [0], "fusi\\u006fn": [[0, 0, 0, 1]]}',
+        "escaped_quote": '{"rank": 1, "dual": [0], "fusi\\u006fn": [], "a\\"fusion": [[0, 0, 0, 2]]}',
+        "byte_order_mark": "\ufeff" + HEAD + '"fusion": [[0, 0, 0, 1]]}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(DECLINED))
+    def test_declined_texts_match_reference(self, name):
+        text = self.DECLINED[name]
+        _assert_same_outcome(text)
+        _assert_same_outcome(text.encode("utf-8"))
+
+    def test_int64_bound_is_exact(self):
+        assert parse_rule(self.DECLINED["int64_max"]).tensor[1, 1, 0] == 2**63 - 1
+        with pytest.raises(StructuralError, match="above 2..63 - 1"):
+            parse_rule(self.DECLINED["above_int64"])
 
 
 class TestDumpGroup:
