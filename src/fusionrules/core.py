@@ -159,7 +159,7 @@ def _associativity_defects(N: np.ndarray):
             f"tensor has max entry {top}"
         )
     if not _commuting_certificate(N, top):
-        yield from _assoc_sparse(N, _nonzero(N))
+        yield from _assoc_sparse(N)
 
 
 # A prime with rank * p**2 < 2**63 up to rank 8,191, far past any cube in memory.
@@ -245,9 +245,9 @@ def _expand(offsets: np.ndarray, m: np.ndarray):
     return n, np.repeat(offsets[m] - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
-def _assoc_sparse(N: np.ndarray, nonzero):
+def _assoc_sparse(N: np.ndarray):
     """Gustavson-style int64 products over the nonzeros, one ``i`` at a time;
-    ``nonzero`` is ``_nonzero(N)``, lexicographic and so grouped by ``a``.
+    ``_nonzero(N)`` is lexicographic and so grouped by ``a``.
 
     For the entries ``(i, j, m)`` of row ``i``, the lhs terms pair them with
     the entries ``(m, k, l)`` (offsets by first index) and the rhs terms pair
@@ -256,7 +256,7 @@ def _assoc_sparse(N: np.ndarray, nonzero):
     and summing equal runs gives the defects in lexicographic order.
     """
     r = N.shape[0]
-    a, b, c = nonzero
+    a, b, c = _nonzero(N)
     v = N[a, b, c].astype(np.int64)
     by_first = np.concatenate(([0], np.bincount(a, minlength=r).cumsum()))
     by_last = np.concatenate(([0], np.bincount(c, minlength=r).cumsum()))

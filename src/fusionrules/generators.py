@@ -17,12 +17,11 @@ __all__ = [
     "named_fixture",
     "fixture_names",
     "drinfeld_double",
-    "DOUBLE_ORDER_CAP",
 ]
 
-DOUBLE_ORDER_CAP = 24
 # |G|**2 < 2**15 up to here, so every multiplicity of the double fits int16
 _INT16_ORDER_LIMIT = 181
+_DOUBLE_RANK_LIMIT = 24**2  # the rank of D(Z24), a 1.42 GiB int64 cube; rank <= |G|**2 for any G
 
 
 def pointed(group: FiniteGroup) -> FusionRule:
@@ -145,7 +144,7 @@ def named_fixture(name: str) -> FusionRule:
     return factory()
 
 
-def drinfeld_double(group: FiniteGroup, *, max_order: int = DOUBLE_ORDER_CAP) -> FusionRule:
+def drinfeld_double(group: FiniteGroup) -> FusionRule:
     """Fusion rule of the quantum double of a finite group, computed exactly
     in the prime field F_p of :func:`groups._field`.
 
@@ -163,13 +162,12 @@ def drinfeld_double(group: FiniteGroup, *, max_order: int = DOUBLE_ORDER_CAP) ->
     over the ``m`` elements of the centralizer of that representative.
 
     Each residue is the multiplicity itself: ``N[X, Y, Z] <= d_X d_Y <=
-    |G|**2 < p``.  The tensor is assembled in int16, which holds ``|G|**2`` up
-    to order 181, so larger groups are refused whatever ``max_order`` says.
+    |G|**2 < p``.  The int16 tensor holds that up to order 181; larger groups
+    are refused at once, and doubles of rank above 576 before the cube.
     """
     n = group.order
-    cap = min(max_order, _INT16_ORDER_LIMIT)
-    if n > cap:
-        raise CapacityError(f"group order {n} exceeds the cap {cap}")
+    if n > _INT16_ORDER_LIMIT:
+        raise CapacityError(f"group order {n} exceeds the cap {_INT16_ORDER_LIMIT}")
     e, p = _field(group)
     table = group.table
     inv = np.array(group.inverses)
@@ -207,6 +205,8 @@ def drinfeld_double(group: FiniteGroup, *, max_order: int = DOUBLE_ORDER_CAP) ->
         names.extend(f"({rep},{r})" for r in range(len(rows)))
 
     offsets = np.cumsum([0] + [len(b) for b in blocks])
+    if offsets[-1] > _DOUBLE_RANK_LIMIT:
+        raise CapacityError(f"double of rank {offsets[-1]} exceeds the rank cap {_DOUBLE_RANK_LIMIT}")
     span = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     tensor = np.zeros((offsets[-1],) * 3, dtype=np.int16)
     for a, ca in enumerate(classes):

@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .acyclicity import adjoint_graph
-from .core import FusionRule, default_labels
+from .core import FusionRule, _nonzero, default_labels
 from .errors import StructuralError
 from .groups import FiniteGroup
 
@@ -28,8 +28,8 @@ __all__ = [
 
 
 def _records(rule: FusionRule) -> np.ndarray:
-    idx = np.argwhere(rule.tensor)  # row-major, the order of the records
-    return np.column_stack([idx, rule.tensor[tuple(idx.T)]])
+    idx = _nonzero(rule.tensor)  # row-major, the order of the records
+    return np.column_stack([*idx, rule.tensor[idx]])
 
 
 def rule_to_dict(rule: FusionRule) -> dict:

@@ -18,10 +18,11 @@ from fusionrules import (
     validate,
 )
 from fusionrules.cli import main
-from fusionrules.groups import builtin_group
+from fusionrules.groups import alternating, builtin_group, cyclic
 from fusionrules.io import dot_graph, dump_group, dump_rule, parse_group
 
 from oracles import parse_rule_reference
+from test_generators import MORE_DOUBLE_HASHES, _double_hash
 
 # sha256 over the sorted conftest corpus of name + "\n" + DOT text, recorded
 # from the adjoint graph built before it shared its adjacency with find_cycle
@@ -352,6 +353,24 @@ class TestGenCommand:
         a = parse_rule(out1.read_text(encoding="utf-8"))
         b = parse_rule(out2.read_text(encoding="utf-8"))
         assert np.array_equal(a.tensor, b.tensor)
+
+    def test_double_past_order_24_from_file(self, tmp_path):
+        group_file = tmp_path / "a5.json"
+        group_file.write_text(dump_group(alternating(5)), encoding="utf-8")
+        out = tmp_path / "a5.rule"
+        assert main(["gen", "double", "--group", str(group_file), "--out", str(out)]) == 0
+        rule = parse_rule(out.read_text(encoding="utf-8"))
+        assert _double_hash(rule) == MORE_DOUBLE_HASHES["a5"]
+
+    def test_double_past_rank_cap_exit_two(self, tmp_path, capsys):
+        group_file = tmp_path / "z25.json"
+        group_file.write_text(dump_group(cyclic(25)), encoding="utf-8")
+        out = tmp_path / "z25.rule"
+        assert main(["gen", "double", "--group", str(group_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "625" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_pointed(self, tmp_path):
         out = tmp_path / "z6.rule"

@@ -34,7 +34,6 @@ from fusionrules.core import (
     _commuting_certificate,
     _full_rank_mod,
     _integer_dims,
-    _nonzero,
     default_labels,
 )
 from fusionrules.groups import builtin_group, dihedral, symmetric
@@ -303,7 +302,7 @@ class TestValidate:
 
 
 def sparse_defects(t):
-    return list(_assoc_sparse(t, _nonzero(t)))
+    return list(_assoc_sparse(t))
 
 
 def record_paths(monkeypatch) -> list:
@@ -322,9 +321,9 @@ def record_paths(monkeypatch) -> list:
 
     listing = core._assoc_sparse
 
-    def listed(*args):
+    def listed(N):
         taken.append("_assoc_sparse")
-        yield from listing(*args)
+        yield from listing(N)
 
     monkeypatch.setattr(core, "_commuting_certificate", certified)
     monkeypatch.setattr(core, "_assoc_sparse", listed)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -54,13 +55,16 @@ DOUBLE_HASHES = {
     "z9": "80a539068f20599be5a15aabe37a12a138f7a4865e68527f129ed5ab9ba9d4df",
 }
 
-# the same hashes for doubles beyond the catalogue (A5 built with max_order=60),
-# recorded from the floating-point character tables that the exact path replaced
+# the same hashes for doubles beyond the catalogue: the first four recorded
+# from the floating-point character tables that the exact path replaced, S5
+# (order 120) and D16 (order 32) once double_by_verlinde agreed
 MORE_DOUBLE_HASHES = {
     "a5": "4dfb30539127fc22d384fe914a6d62410fa4796021168504a7b667315bb595d4",
     "d8": "4798de05fc0381b3f2b835be88c7d96a83ab92fdd149243d7af8107f6a6b66cf",
     "q8xz2": "5e789c44bc8b109a6cf5be457e9b25a1ebf9454e4af1ae65ccda9a00bb67b232",
     "d4xz2": "bc997851da8f2831b28ce9d5eb36ce93fa542f2b03f49ee4426c1256071f5b07",
+    "s5": "a74a4cf5f98ac1ec8b1ee055988a097e6bfd0176650143024fc290eb8a8dd934",
+    "d16": "b2a4946d4a5686645a526c10ced14d629aa4302b05eb243a035acef3dc9c25ff",
 }
 
 
@@ -70,6 +74,8 @@ def _more_double_groups():
         "d8": dihedral(8),
         "q8xz2": direct_product(quaternion8(), cyclic(2)),
         "d4xz2": direct_product(dihedral(4), cyclic(2)),
+        "s5": symmetric(5),
+        "d16": dihedral(16),
     }
 
 
@@ -226,11 +232,23 @@ class TestDrinfeldDouble:
         dd = drinfeld_double(builtin_group("s3"))
         assert dd.labels[0] == "(0,0)"
 
-    def test_order_cap(self):
-        with pytest.raises(CapacityError):
-            drinfeld_double(cyclic(5), max_order=4)
+    def test_rank_cap(self, monkeypatch):
+        import fusionrules.generators as generators
+
+        zeros = generators.np.zeros  # numpy's own, shared with the group layer
+
+        def no_cube(shape, *args, **kwargs):
+            if np.ndim(shape) and len(shape) == 3:
+                raise AssertionError("a cube was allocated past the rank cap")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(generators.np, "zeros", no_cube)
+        with pytest.raises(CapacityError, match="625.*576"):
+            drinfeld_double(cyclic(25))
+        # the group is the only parameter: no order cap, by position or keyword
+        assert list(inspect.signature(drinfeld_double).parameters) == ["group"]
         with pytest.raises(TypeError):
-            drinfeld_double(cyclic(5), 1e-6)  # a positional tolerance cannot land in max_order
+            drinfeld_double(cyclic(5), 60)
 
     def test_abelian_doubles_are_pointed(self):
         for n in (3, 4):
@@ -251,21 +269,33 @@ class TestDrinfeldDouble:
             assert _double_hash(drinfeld_double(group)) == DOUBLE_HASHES[name], name
 
     def test_frozen_hashes_beyond_the_catalogue(self):
-        for name, group in _more_double_groups().items():
-            rule = drinfeld_double(group, max_order=60)
-            assert _double_hash(rule) == MORE_DOUBLE_HASHES[name], name
+        groups = _more_double_groups()
+        assert set(groups) == set(MORE_DOUBLE_HASHES)
+        for name, group in groups.items():
+            assert _double_hash(drinfeld_double(group)) == MORE_DOUBLE_HASHES[name], name
+
+    @pytest.mark.parametrize("group", [symmetric(5), dihedral(16)], ids=["s5", "d16"])
+    def test_doubles_past_order_24(self, group):
+        # S5: order 120, rank 39, not nilpotent; D16: order 32, rank 142, nilpotent
+        rule = drinfeld_double(group)
+        assert validate(rule).valid
+        assert is_acyclic(rule) == is_nilpotent(group)[0]
+        assert rule.rank == commuting_pair_orbit_count(group)
+        dual, tensor = double_by_verlinde(group)
+        assert rule.dual == dual
+        assert np.array_equal(rule.tensor, tensor)
 
     def test_matches_verlinde_oracle(self):
         groups = {name: builtin_group(name) for name in builtin_group_names()}
         groups.update(_more_double_groups())
         for name, group in groups.items():
             if commuting_pair_orbit_count(group) <= 100:
-                rule = drinfeld_double(group, max_order=60)
+                rule = drinfeld_double(group)
                 dual, tensor = double_by_verlinde(group)
                 assert rule.dual == dual, name
                 assert np.array_equal(rule.tensor, tensor), name
 
-    def test_int16_order_limit_ignores_max_order(self, monkeypatch):
+    def test_int16_order_limit_before_character_tables(self, monkeypatch):
         import fusionrules.generators as generators
 
         def no_tables(*args, **kwargs):
@@ -273,4 +303,4 @@ class TestDrinfeldDouble:
 
         monkeypatch.setattr(generators, "_characters", no_tables)
         with pytest.raises(CapacityError, match="181"):
-            drinfeld_double(cyclic(182), max_order=1000)
+            drinfeld_double(cyclic(182))
