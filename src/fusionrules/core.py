@@ -164,7 +164,6 @@ def _associativity_defects(N: np.ndarray):
 
 # A prime with rank * p**2 < 2**63 up to rank 8,191, far past any cube in memory.
 _KRYLOV_PRIME = 33_554_393
-_CYCLIC_DRAWS = 3
 
 
 def _commuting_certificate(N: np.ndarray, top: int) -> bool:
@@ -180,21 +179,20 @@ def _commuting_certificate(N: np.ndarray, top: int) -> bool:
     ``i``, checked exactly one slab at a time, puts every ``N_i`` in Q[A], so
     they commute pairwise.  Entries of those products are at most
     ``rank * max(A) * top``, so float32 BLAS is exact while that is within
-    2**24 and float64 within 2**53; past that, or for a non-commutative
-    tensor, or with no cyclic ``A`` in ``_CYCLIC_DRAWS`` draws, it is False.
+    2**24 and float64 within 2**53.  ``c`` is drawn once in each range that
+    leaves it at least 1,024 values, float32's first, up to the first cyclic
+    ``A``; a non-commutative tensor, or no cyclic ``A``, gives False.
     """
     r, p = N.shape[0], _KRYLOV_PRIME
     if r * p * p >= 2**63 or not np.array_equal(N, N.transpose(1, 0, 2)):
         return False
     # the caller's rank * top**2 <= 2**63 - 1 keeps sum_i N_i from wrapping;
-    # r * top * max(A) <= bound * max(c), and c takes at least 1,024 values
-    # within float32's exact range or else float64's
+    # r * top * max(A) <= bound * max(c) <= limit
     bound = max(1, r * top * int(N.sum(axis=0).max()))
-    if bound > 2**43:
-        return False
-    limit, dtype = (2**24, np.float32) if bound <= 2**14 else (2**53, np.float64)
     rng = np.random.default_rng(0)
-    for _ in range(_CYCLIC_DRAWS):
+    for limit, dtype in ((2**24, np.float32), (2**53, np.float64)):
+        if limit // bound < 1024:
+            continue
         A = np.einsum("i,ijk->jk", rng.integers(1, limit // bound, size=r, endpoint=True), N)
         A_p, v = A % p, rng.integers(1, p, size=r)
         krylov = np.empty((r, r), dtype=np.int64)

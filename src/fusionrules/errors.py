@@ -11,8 +11,9 @@ class StructuralError(FusionError, ValueError):
 
 
 class CapacityError(FusionError, ValueError):
-    """A request exceeds a configured size cap (enumeration bounds, group order)
-    or the range in which a computation stays exact."""
+    """A request exceeds a size cap (the enumeration bounds; for a Drinfeld
+    double, group order <= 181 and rank <= 576) or the range in which a
+    computation stays exact."""
 
 
 class NumericalError(FusionError, ArithmeticError):

@@ -71,20 +71,12 @@ def _is_plain(record) -> bool:
     return type(record) is list and list(map(type, record)) == _FOUR_INTS
 
 
-def _int64_rows(records: list) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(records), np.int64, 4 * len(records)).reshape(-1, 4)
-
-
 def _leading_rows(records: list) -> np.ndarray:
     """The records before the first one that is not a list of four ``int``s
     within int64, as an int64 ``(n, 4)`` array."""
-    stop = next((n for n, rec in enumerate(records) if not _is_plain(rec)), len(records))
-    try:
-        return _int64_rows(records[:stop])
-    except OverflowError:  # the array part ends before the first value outside int64
-        wide = np.array(records[:stop], dtype=object)
-        stop = int(np.flatnonzero(((wide < _INT64_MIN) | (wide > _INT64_MAX)).any(axis=1))[0])
-        return _int64_rows(records[:stop])
+    stop = next((n for n, rec in enumerate(records) if not _is_plain(rec)
+                 or min(rec) < _INT64_MIN or max(rec) > _INT64_MAX), len(records))
+    return np.fromiter(chain.from_iterable(records[:stop]), np.int64, 4 * stop).reshape(-1, 4)
 
 
 def _record_fault(record, rank: int) -> str:

@@ -36,7 +36,7 @@ from fusionrules.core import (
     _integer_dims,
     default_labels,
 )
-from fusionrules.groups import builtin_group, dihedral, symmetric
+from fusionrules.groups import builtin_group, dihedral, direct_product, symmetric
 
 from oracles import associativity_defect_list, fp_verdicts_reference, naive_validate
 
@@ -452,6 +452,38 @@ class TestCommutingCertificate:
         monkeypatch.setattr(core.np.random, "default_rng", Constant)
         assert not certified(t)
         assert list(_associativity_defects(t)) == expected
+
+    def test_float64_draw_after_a_float32_draw_fails(self, monkeypatch):
+        # with every c_i drawn in float32's range pinned to 1, A = sum_i N_i,
+        # the all-ones matrix for an abelian double, is not cyclic; the next
+        # draw, in float64's range, proves the double.  The doubles are built
+        # first: their character tables draw from default_rng too.
+        doubles = [drinfeld_double(builtin_group(g)) for g in ("z2xz2", "z6", "s3")]
+        real = np.random.default_rng
+
+        class LowInFloat32:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def integers(self, low, high, size, endpoint=False):
+                if high <= 2**24:
+                    return np.full(size, low)
+                return self.rng.integers(low, high, size=size, endpoint=endpoint)
+
+        monkeypatch.setattr(core.np.random, "default_rng", LowInFloat32)
+        for rule in doubles:
+            assert certified(rule.tensor), rule.rank
+
+    @pytest.mark.slow
+    def test_double_of_d4_x_d4_is_proved(self, monkeypatch):
+        # rank 484: no float32 draw is cyclic, so this needs the float64 draw;
+        # about 8 s and 1.9 GB, outside tier-1 (pytest -m slow)
+        d4 = builtin_group("d4")
+        rule = drinfeld_double(direct_product(d4, d4))
+        assert rule.rank == 484
+        taken = record_paths(monkeypatch)
+        assert validate(rule).valid
+        assert taken == ["_commuting_certificate"]
 
     def test_non_commutative_rule_is_listed(self, monkeypatch):
         # every slice the cyclic shift: the slices commute and sum to a cyclic
