@@ -81,8 +81,10 @@ class FusionRule:
             raise StructuralError("tensor entries must be non-negative")
         if tensor.dtype != np.int64 and int(tensor.max()) >= 2**63:
             raise StructuralError("tensor entries must be below 2**63 to fit int64")
-        tensor = tensor.astype(np.int64, copy=True)
-        tensor.flags.writeable = False
+        flags = tensor.flags  # a read-only int64 cube that owns its data is kept as it is
+        if tensor.dtype != np.int64 or flags.writeable or not (flags.owndata and flags.c_contiguous):
+            tensor = tensor.astype(np.int64, order="C")
+            tensor.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "tensor", tensor)
@@ -141,9 +143,10 @@ class ValidationReport:
         )
 
 
-def _associativity_defects(N: np.ndarray):
+def _associativity_defects(N: np.ndarray, nonzero=None):
     """Yield ``(i, j, k, l, lhs - rhs)`` for every violated quadruple, in
-    lexicographic order of ``(i, j, k, l)``.
+    lexicographic order of ``(i, j, k, l)``; ``nonzero`` is ``_nonzero(N)``
+    when the caller has it.
 
     Every partial sum of ``lhs = sum_m N[i,j,m] N[m,k,l]`` (and of ``rhs``) is
     a non-negative integer no larger than ``rank * max(N)**2``, so int64 is
@@ -152,25 +155,28 @@ def _associativity_defects(N: np.ndarray):
     every other tensor is listed by ``_assoc_sparse``.
     """
     r = N.shape[0]
-    top = int(N.max())
+    nonzero = _nonzero(N) if nonzero is None else nonzero
+    top = int(nonzero[1].max(initial=0))
     if r * top**2 > 2**63 - 1:
         raise CapacityError(
             f"associativity check needs rank * max(N)**2 <= 2**63 - 1; this rank-{r} "
             f"tensor has max entry {top}"
         )
-    if not _commuting_certificate(N, top):
-        yield from _assoc_sparse(N)
+    if not _commuting_certificate(N, top, nonzero):
+        yield from _assoc_sparse(N, nonzero)
 
 
 # A prime with rank * p**2 < 2**63 up to rank 8,191, far past any cube in memory.
 _KRYLOV_PRIME = 33_554_393
 
 
-def _commuting_certificate(N: np.ndarray, top: int) -> bool:
+def _commuting_certificate(N: np.ndarray, top: int, nonzero) -> bool:
     """True only when every associativity defect of ``N`` is 0, proved in
-    ``rank**4`` work; False leaves the question open.
+    ``rank**4`` work; False leaves the question open.  ``nonzero`` is
+    ``_nonzero(N)``.
 
-    For a commutative tensor (``N[a,b,c] == N[b,a,c]``) the defect at
+    For a commutative tensor (``N[a,b,c] == N[b,a,c]``, tested over the
+    nonzero cells as ``validate`` tests dual symmetry) the defect at
     ``(i, j, k, l)`` is ``[N_i, N_k][j, l]`` with ``N_i = N[i]``.  Take
     ``A = sum_i c_i N_i`` with seeded integers ``c_i``.  When some ``v`` has a
     Krylov matrix ``v, vA, ..., vA**(rank-1)`` of full rank mod a prime, its
@@ -184,7 +190,9 @@ def _commuting_certificate(N: np.ndarray, top: int) -> bool:
     ``A``; a non-commutative tensor, or no cyclic ``A``, gives False.
     """
     r, p = N.shape[0], _KRYLOV_PRIME
-    if r * p * p >= 2**63 or not np.array_equal(N, N.transpose(1, 0, 2)):
+    cells, values = nonzero
+    a, b, c = np.unravel_index(cells, N.shape)
+    if r * p * p >= 2**63 or not np.array_equal(N.take((b * r + a) * r + c), values):
         return False
     # the caller's rank * top**2 <= 2**63 - 1 keeps sum_i N_i from wrapping;
     # r * top * max(A) <= bound * max(c) <= limit
@@ -230,10 +238,11 @@ def _full_rank_mod(K: np.ndarray, p: int) -> bool:
 
 
 def _nonzero(N: np.ndarray):
-    """``np.nonzero(N)`` of a cube from one flat scan, which is about twice as fast."""
-    r = N.shape[0]
-    a, bc = np.divmod(np.flatnonzero(N), r * r)
-    return (a, *np.divmod(bc, r))
+    """The flat indices of the nonzero cells of a cube, ascending and so
+    lexicographic in ``(i, j, k)``, and their values.  Scanning ``N != 0``
+    is about 4x faster than ``np.flatnonzero(N)`` on int64."""
+    cells = np.flatnonzero(N.ravel() != 0)
+    return cells, N.take(cells)
 
 
 def _expand(offsets: np.ndarray, m: np.ndarray):
@@ -243,9 +252,9 @@ def _expand(offsets: np.ndarray, m: np.ndarray):
     return n, np.repeat(offsets[m] - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
-def _assoc_sparse(N: np.ndarray):
-    """Gustavson-style int64 products over the nonzeros, one ``i`` at a time;
-    ``_nonzero(N)`` is lexicographic and so grouped by ``a``.
+def _assoc_sparse(N: np.ndarray, nonzero):
+    """Gustavson-style int64 products over the nonzeros ``_nonzero(N)``, one
+    ``i`` at a time; they are lexicographic and so grouped by ``a``.
 
     For the entries ``(i, j, m)`` of row ``i``, the lhs terms pair them with
     the entries ``(m, k, l)`` (offsets by first index) and the rhs terms pair
@@ -254,8 +263,9 @@ def _assoc_sparse(N: np.ndarray):
     and summing equal runs gives the defects in lexicographic order.
     """
     r = N.shape[0]
-    a, b, c = _nonzero(N)
-    v = N[a, b, c].astype(np.int64)
+    cells, v = nonzero
+    a, b, c = np.unravel_index(cells, N.shape)
+    v = v.astype(np.int64, copy=False)
     by_first = np.concatenate(([0], np.bincount(a, minlength=r).cumsum()))
     by_last = np.concatenate(([0], np.bincount(c, minlength=r).cumsum()))
     to_m = np.argsort(c, kind="stable")
@@ -315,18 +325,27 @@ def validate(rule: FusionRule) -> ValidationReport:
         want = 1 if i == k else 0
         out.append(Violation("unit", (int(i), 0, int(k)), f"N[{i},0,{k}] = {N[i, 0, k]}, expected {want}"))
 
+    # the mirror m(i,j,k) = (dual j, dual i, dual k) is a bijection, so N == N o m
+    # holds iff it holds on the nonzero cells S; else it fails only on S and m^-1(S)
     d = np.array(dual)
-    mirrored_all = N[np.ix_(d, d, d)].transpose(1, 0, 2)  # [i,j,k] -> N[dual j, dual i, dual k]
-    for i, j, k in np.argwhere(N != mirrored_all):
-        out.append(
-            Violation(
-                "dual_symmetry",
-                (int(i), int(j), int(k)),
-                f"N[{i},{j},{k}] = {N[i, j, k]} but the dual-mirrored entry is {mirrored_all[i, j, k]}",
+    nonzero = cells, values = _nonzero(N)
+    i, j, k = np.unravel_index(cells, N.shape)
+    if not np.array_equal(N.take((d[j] * r + d[i]) * r + d[k]), values):
+        inv = np.argsort(d)
+        cells = np.union1d(cells, (inv[j] * r + inv[i]) * r + inv[k])
+        i, j, k = np.unravel_index(cells, N.shape)
+        here, mirrored = N.take(cells), N.take((d[j] * r + d[i]) * r + d[k])
+        bad = here != mirrored
+        for i, j, k, x, y in zip(*(a[bad].tolist() for a in (i, j, k, here, mirrored))):
+            out.append(
+                Violation(
+                    "dual_symmetry",
+                    (i, j, k),
+                    f"N[{i},{j},{k}] = {x} but the dual-mirrored entry is {y}",
+                )
             )
-        )
 
-    for i, j, k, l, value in _associativity_defects(N):
+    for i, j, k, l, value in _associativity_defects(N, nonzero):
         out.append(
             Violation(
                 "associativity",

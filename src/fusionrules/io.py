@@ -28,8 +28,8 @@ __all__ = [
 
 
 def _records(rule: FusionRule) -> np.ndarray:
-    idx = _nonzero(rule.tensor)  # row-major, the order of the records
-    return np.column_stack([*idx, rule.tensor[idx]])
+    cells, values = _nonzero(rule.tensor)  # row-major, the order of the records
+    return np.column_stack([*np.unravel_index(cells, rule.tensor.shape), values])
 
 
 def rule_to_dict(rule: FusionRule) -> dict:
@@ -141,6 +141,7 @@ def _rule_from(data: dict, rows: np.ndarray | None) -> FusionRule:
             record = record.tolist()
         raise StructuralError(_record_fault(record, rank))
     tensor[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = mult
+    tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
     return FusionRule(labels=tuple(labels), dual=tuple(dual), tensor=tensor)
 
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from fusionrules import FusionRule, NumericalError, StructuralError, TheoremSurvey, explorer
+from fusionrules import FusionRule, NumericalError, StructuralError, TheoremSurvey, Violation, explorer
 from fusionrules.groups import _characters, _field
 from fusionrules.io import rule_from_dict
 
@@ -46,6 +46,49 @@ def naive_validate(rule: FusionRule) -> bool:
                     if lhs != rhs:
                         return False
     return True
+
+
+def validate_reference(rule: FusionRule) -> list:
+    """``validate(rule).violations`` from per-cell loops, axiom by axiom and
+    each axiom's cells in lexicographic order, with associativity from the
+    dense einsum."""
+    N = rule.tensor.tolist()
+    d = rule.dual
+    r = rule.rank
+    out = []
+    if d[0] != 0:
+        out.append(Violation("involution", (0,), f"dual(0) = {d[0]}, must fix the vacuum"))
+    for i in range(r):
+        if d[d[i]] != i:
+            out.append(Violation("involution", (i,), f"dual(dual({i})) = {d[d[i]]}, not an involution"))
+    for j, k in itertools.product(range(r), repeat=2):
+        if N[0][j][k] != (j == k):
+            out.append(Violation("unit", (0, j, k), f"N[0,{j},{k}] = {N[0][j][k]}, expected {int(j == k)}"))
+    for i, k in itertools.product(range(1, r), range(r)):
+        if N[i][0][k] != (i == k):
+            out.append(Violation("unit", (i, 0, k), f"N[{i},0,{k}] = {N[i][0][k]}, expected {int(i == k)}"))
+    for i, j, k in itertools.product(range(r), repeat=3):
+        mirrored = N[d[j]][d[i]][d[k]]
+        if N[i][j][k] != mirrored:
+            out.append(Violation("dual_symmetry", (i, j, k),
+                                 f"N[{i},{j},{k}] = {N[i][j][k]} but the dual-mirrored entry is {mirrored}"))
+    for i, j, k, l, value in associativity_defect_list(rule.tensor):
+        out.append(Violation("associativity", (i, j, k, l),
+                             f"sum_m N[{i},{j},m]N[m,{k},{l}] - N[{j},{k},m]N[{i},m,{l}] = {value}"))
+    for i in range(r):
+        if N[i][d[i]][0] != 1:
+            out.append(Violation("vacuum_multiplicity", (i,),
+                                 f"N[{i},{d[i]},0] = {N[i][d[i]][0]}, the vacuum must appear exactly once"))
+    for i, j in itertools.product(range(r), repeat=2):
+        if j != d[i] and N[i][j][0] != 0:
+            out.append(Violation("vacuum_uniqueness", (i, j),
+                                 f"N[{i},{j},0] = {N[i][j][0]} but {j} is not the dual of {i}"))
+    for i, j in itertools.product(range(r), repeat=2):
+        x, y = N[i][d[i]][j], N[i][d[i]][d[j]]
+        if x != y:
+            out.append(Violation("adjoint_symmetry", (i, j),
+                                 f"N[{i},{d[i]},{j}] = {x} != {y} = N[{i},{d[i]},{d[j]}]"))
+    return out
 
 
 def acyclic_by_definition(rule: FusionRule) -> bool:

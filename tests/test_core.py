@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,11 +35,12 @@ from fusionrules.core import (
     _commuting_certificate,
     _full_rank_mod,
     _integer_dims,
+    _nonzero,
     default_labels,
 )
 from fusionrules.groups import builtin_group, dihedral, direct_product, symmetric
 
-from oracles import associativity_defect_list, fp_verdicts_reference, naive_validate
+from oracles import associativity_defect_list, fp_verdicts_reference, naive_validate, validate_reference
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -131,6 +133,39 @@ class TestFusionRule:
         rule = named_fixture("ising")
         with pytest.raises(ValueError):
             rule.tensor[0, 0, 0] = 5
+
+    def test_every_tensor_is_read_only(self, corpus):
+        rules = [*corpus.values(), parse_rule(dump_rule(su2k(4))), product(su2k(2), su2k(3))]
+        for rule in rules:
+            flags = rule.tensor.flags
+            assert not flags.writeable and flags.c_contiguous and rule.tensor.dtype == np.int64
+
+    def test_writeable_tensor_is_copied(self):
+        t = np.array(rank2_rule().tensor)
+        rule = FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t)
+        t[1, 1, 1] = 7
+        assert rule.tensor[1, 1, 1] == 0 and rule.same_tensor(rank2_rule())
+
+    @pytest.mark.parametrize("make", [
+        lambda t: t[:],                           # a view
+        lambda t: np.asfortranarray(t),           # owns its data, not C-contiguous
+        lambda t: t.astype(np.int16),             # drinfeld_double's dtype
+        lambda t: t.astype(np.int32),
+    ])
+    def test_read_only_tensor_is_copied_unless_an_owned_int64_cube(self, make):
+        owned = np.array(rank2_rule().tensor)
+        owned.flags.writeable = False
+        given = make(owned)
+        given.flags.writeable = False
+        rule = FusionRule(labels=("1", "x"), dual=(0, 1), tensor=given)
+        assert not np.shares_memory(rule.tensor, given) and not np.shares_memory(rule.tensor, owned)
+        assert rule.tensor.flags.c_contiguous and not rule.tensor.flags.writeable
+        assert rule.same_tensor(rank2_rule())
+
+    def test_read_only_owned_int64_cube_is_kept(self):
+        t = np.array(rank2_rule().tensor)
+        t.flags.writeable = False
+        assert FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t).tensor is t
 
     def test_outcomes_and_pointedness(self):
         ising = named_fixture("ising")
@@ -229,6 +264,41 @@ class TestValidate:
             keys = [(order.index(v.axiom), v.index) for v in found]
             assert keys == sorted(keys)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_report_matches_reference_on_random_tensors(self, data):
+        # permutation duals, involutions or not; the dual-symmetry cells with
+        # N == 0 and a nonzero mirror must be listed too
+        r = data.draw(st.integers(1, 6))
+        raw = data.draw(st.binary(min_size=r**3, max_size=r**3))
+        t = (np.frombuffer(raw, dtype=np.uint8) % 3).astype(np.int64).reshape(r, r, r)
+        rule = FusionRule(labels=default_labels(r), dual=data.draw(st.permutations(range(r))), tensor=t)
+        assert list(validate(rule).violations) == validate_reference(rule)
+
+    @pytest.mark.parametrize("name", ["double_z4", "double_s3", "su2k_5", "so8_2", "pointed_s3",
+                                      "su2k_3_x_s3"])
+    def test_report_matches_reference_on_mutants(self, name):
+        rule = {
+            "double_z4": lambda: drinfeld_double(builtin_group("z4")),
+            "double_s3": lambda: drinfeld_double(builtin_group("s3")),
+            "su2k_5": lambda: su2k(5),
+            "so8_2": lambda: named_fixture("so8_2"),
+            "pointed_s3": lambda: pointed(symmetric(3)),
+            "su2k_3_x_s3": lambda: product(su2k(3), pointed(symmetric(3))),
+        }[name]()
+        rng = np.random.default_rng(rule.rank)
+        for n in range(30):
+            t = np.array(rule.tensor)
+            for _ in range(rng.integers(1, 4)):
+                i, j, k = rng.integers(0, rule.rank, size=3)
+                t[i, j, k] = rng.integers(0, 3)
+            dual = list(rule.dual)
+            if n % 3 == 0:  # swapped dual entries
+                a, b = rng.choice(rule.rank, size=2, replace=False)
+                dual[a], dual[b] = dual[b], dual[a]
+            mutant = FusionRule(labels=rule.labels, dual=dual, tensor=t)
+            assert list(validate(mutant).violations) == validate_reference(mutant)
+
     def test_blocked_associativity_path_at_large_rank(self):
         # a large pointed rule: one extra channel breaks associativity, and the
         # listing, not the certificate, reports it
@@ -301,8 +371,33 @@ class TestValidate:
                 assert np.array_equal(rule.tensor[rule.dual[i]], rule.tensor[i].T), name
 
 
+def traced_peak(call) -> int:
+    """The bytes ``call()`` allocates at its peak, by tracemalloc; the call must return True."""
+    tracemalloc.start()
+    try:
+        assert call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCube:
+    """``validate`` and ``parse_rule`` hold the rule's int64 cube and little
+    more: the symmetry tests gather over the nonzero cells, and the parsed
+    cube is handed to ``FusionRule`` uncopied."""
+
+    def test_validate_peak(self):
+        rule = drinfeld_double(builtin_group("z12"))  # rank 144, a 22.8 MiB cube
+        assert traced_peak(lambda: validate(rule).valid) < rule.tensor.nbytes / 4
+
+    def test_parse_peak(self):
+        rule = drinfeld_double(builtin_group("z12"))
+        text = dump_rule(rule)
+        assert traced_peak(lambda: parse_rule(text) == rule) < 1.25 * rule.tensor.nbytes
+
+
 def sparse_defects(t):
-    return list(_assoc_sparse(t))
+    return list(_assoc_sparse(t, _nonzero(t)))
 
 
 def record_paths(monkeypatch) -> list:
@@ -321,9 +416,9 @@ def record_paths(monkeypatch) -> list:
 
     listing = core._assoc_sparse
 
-    def listed(N):
+    def listed(*args):
         taken.append("_assoc_sparse")
-        yield from listing(N)
+        yield from listing(*args)
 
     monkeypatch.setattr(core, "_commuting_certificate", certified)
     monkeypatch.setattr(core, "_assoc_sparse", listed)
@@ -385,7 +480,7 @@ def commutative_tensors(draw):
 
 
 def certified(t) -> bool:
-    return _commuting_certificate(t, int(t.max()))
+    return _commuting_certificate(t, int(t.max()), _nonzero(t))
 
 
 class TestCommutingCertificate:
@@ -477,12 +572,12 @@ class TestCommutingCertificate:
     @pytest.mark.slow
     def test_double_of_d4_x_d4_is_proved(self, monkeypatch):
         # rank 484: no float32 draw is cyclic, so this needs the float64 draw;
-        # about 8 s and 1.9 GB, outside tier-1 (pytest -m slow)
+        # about 4 s and 1.1 GB, outside tier-1 (pytest -m slow)
         d4 = builtin_group("d4")
         rule = drinfeld_double(direct_product(d4, d4))
         assert rule.rank == 484
         taken = record_paths(monkeypatch)
-        assert validate(rule).valid
+        assert traced_peak(lambda: validate(rule).valid) < 2**30 / 4  # the cube is 0.9 GiB
         assert taken == ["_commuting_certificate"]
 
     def test_non_commutative_rule_is_listed(self, monkeypatch):
