@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acyclicity import is_acyclic
-from .core import FusionRule, fp_dimensions, validate
-from .errors import CapacityError, StructuralError, UnknownFixtureError
+from .core import FusionRule
+from .errors import CapacityError, UnknownFixtureError
 from .groups import FiniteGroup, _characters, _field
 
 __all__ = [
@@ -64,71 +63,39 @@ def _from_products(labels, products) -> FusionRule:
     return FusionRule(labels=tuple(labels), dual=tuple(range(r)), tensor=tensor)
 
 
-def _ising() -> FusionRule:
-    return _from_products(
-        ["1", "sigma", "psi"],
-        {(1, 1): (0, 2), (1, 2): (1,), (2, 2): (0,)},
-    )
-
-
-def _fibonacci() -> FusionRule:
-    return _from_products(["1", "tau"], {(1, 1): (0, 1)})
-
-
-def _toric() -> FusionRule:
-    return _from_products(
+# Each fixture as (labels, products for i <= j); every label is self-dual.
+# SO(8) level 2 is four invertibles (vacuum and three bosons) plus seven
+# dimension-2 objects, multiplicity-free; tests/oracles.py::so8_level2_tensor
+# rebuilds its tensor by the affine Verlinde formula.
+_FIXTURES = {
+    "trivial": (["1"], {}),
+    "ising": (["1", "sigma", "psi"], {(1, 1): (0, 2), (1, 2): (1,), (2, 2): (0,)}),
+    "fibonacci": (["1", "tau"], {(1, 1): (0, 1)}),
+    "toric": (
         ["1", "e", "m", "f"],
         {(1, 1): (0,), (1, 2): (3,), (1, 3): (2,), (2, 2): (0,), (2, 3): (1,), (3, 3): (0,)},
-    )
-
-
-# SO(8) level 2: four invertibles (vacuum and three bosons) plus seven
-# dimension-2 objects; everything self-dual and multiplicity-free.  The tensor
-# below lists the products for i <= j; the loader re-checks the published
-# constraint set (rank, self-duality, dimensions, global dimension, acyclicity)
-# so a transcription slip cannot pass silently.
-_SO8_2_LABELS = ["1", "b1", "b2", "b1b2", "v", "s", "c", "ad", "vs", "vc", "sc"]
-_SO8_2_PRODUCTS = {
-    (1, 1): (0,), (1, 2): (3,), (1, 3): (2,), (1, 4): (4,), (1, 5): (9,),
-    (1, 6): (8,), (1, 7): (7,), (1, 8): (6,), (1, 9): (5,), (1, 10): (10,),
-    (2, 2): (0,), (2, 3): (1,), (2, 4): (10,), (2, 5): (5,), (2, 6): (8,),
-    (2, 7): (7,), (2, 8): (6,), (2, 9): (9,), (2, 10): (4,),
-    (3, 3): (0,), (3, 4): (10,), (3, 5): (9,), (3, 6): (6,), (3, 7): (7,),
-    (3, 8): (8,), (3, 9): (5,), (3, 10): (4,),
-    (4, 4): (0, 1, 7), (4, 5): (6, 8), (4, 6): (5, 9), (4, 7): (4, 10),
-    (4, 8): (5, 9), (4, 9): (6, 8), (4, 10): (2, 3, 7),
-    (5, 5): (0, 2, 7), (5, 6): (4, 10), (5, 7): (5, 9), (5, 8): (4, 10),
-    (5, 9): (1, 3, 7), (5, 10): (6, 8),
-    (6, 6): (0, 3, 7), (6, 7): (6, 8), (6, 8): (1, 2, 7), (6, 9): (4, 10),
-    (6, 10): (5, 9),
-    (7, 7): (0, 1, 2, 3), (7, 8): (6, 8), (7, 9): (5, 9), (7, 10): (4, 10),
-    (8, 8): (0, 3, 7), (8, 9): (4, 10), (8, 10): (5, 9),
-    (9, 9): (0, 2, 7), (9, 10): (6, 8),
-    (10, 10): (0, 1, 7),
-}
-
-
-def _so8_2() -> FusionRule:
-    rule = _from_products(_SO8_2_LABELS, _SO8_2_PRODUCTS)
-    if rule.rank != 11 or rule.dual != tuple(range(11)):
-        raise StructuralError("so8_2 fixture must have 11 self-dual labels")
-    report = validate(rule)
-    if not report.valid:
-        raise StructuralError(f"so8_2 fixture violates fusion axioms: {report.violations[0]}")
-    dims = fp_dimensions(rule)  # integral dims are exact, and they give global dim 32
-    if not dims.is_integral or sorted(dims.dims) != [1.0] * 4 + [2.0] * 7:
-        raise StructuralError("so8_2 fixture has wrong Frobenius-Perron dimensions")
-    if not is_acyclic(rule):
-        raise StructuralError("so8_2 fixture must be acyclic")
-    return rule
-
-
-_FIXTURES = {
-    "trivial": lambda: FusionRule(labels=("1",), dual=(0,), tensor=np.ones((1, 1, 1), dtype=np.int64)),
-    "ising": _ising,
-    "fibonacci": _fibonacci,
-    "toric": _toric,
-    "so8_2": _so8_2,
+    ),
+    "so8_2": (
+        ["1", "b1", "b2", "b1b2", "v", "s", "c", "ad", "vs", "vc", "sc"],
+        {
+            (1, 1): (0,), (1, 2): (3,), (1, 3): (2,), (1, 4): (4,), (1, 5): (9,),
+            (1, 6): (8,), (1, 7): (7,), (1, 8): (6,), (1, 9): (5,), (1, 10): (10,),
+            (2, 2): (0,), (2, 3): (1,), (2, 4): (10,), (2, 5): (5,), (2, 6): (8,),
+            (2, 7): (7,), (2, 8): (6,), (2, 9): (9,), (2, 10): (4,),
+            (3, 3): (0,), (3, 4): (10,), (3, 5): (9,), (3, 6): (6,), (3, 7): (7,),
+            (3, 8): (8,), (3, 9): (5,), (3, 10): (4,),
+            (4, 4): (0, 1, 7), (4, 5): (6, 8), (4, 6): (5, 9), (4, 7): (4, 10),
+            (4, 8): (5, 9), (4, 9): (6, 8), (4, 10): (2, 3, 7),
+            (5, 5): (0, 2, 7), (5, 6): (4, 10), (5, 7): (5, 9), (5, 8): (4, 10),
+            (5, 9): (1, 3, 7), (5, 10): (6, 8),
+            (6, 6): (0, 3, 7), (6, 7): (6, 8), (6, 8): (1, 2, 7), (6, 9): (4, 10),
+            (6, 10): (5, 9),
+            (7, 7): (0, 1, 2, 3), (7, 8): (6, 8), (7, 9): (5, 9), (7, 10): (4, 10),
+            (8, 8): (0, 3, 7), (8, 9): (4, 10), (8, 10): (5, 9),
+            (9, 9): (0, 2, 7), (9, 10): (6, 8),
+            (10, 10): (0, 1, 7),
+        },
+    ),
 }
 
 
@@ -138,10 +105,10 @@ def fixture_names() -> tuple[str, ...]:
 
 def named_fixture(name: str) -> FusionRule:
     try:
-        factory = _FIXTURES[name.lower()]
+        labels, products = _FIXTURES[name.lower()]
     except KeyError:
         raise UnknownFixtureError(name, _FIXTURES) from None
-    return factory()
+    return _from_products(labels, products)
 
 
 def drinfeld_double(group: FiniteGroup) -> FusionRule:

@@ -28,8 +28,7 @@ __all__ = [
 
 
 def _records(rule: FusionRule) -> np.ndarray:
-    cells, values = _nonzero(rule.tensor)  # row-major, the order of the records
-    return np.column_stack([*np.unravel_index(cells, rule.tensor.shape), values])
+    return np.column_stack(_nonzero(rule.tensor))  # row-major, the order of the records
 
 
 def rule_to_dict(rule: FusionRule) -> dict:
@@ -121,7 +120,6 @@ def _rule_from(data: dict, rows: np.ndarray | None) -> FusionRule:
         and all(isinstance(x, str) for x in labels),
         f"labels must be a list of {rank} strings",
     )
-    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     records = data["fusion"]
     _require(isinstance(records, list), "fusion must be a list of [i,j,k,mult] records")
     if rows is None:
@@ -140,6 +138,7 @@ def _rule_from(data: dict, rows: np.ndarray | None) -> FusionRule:
         if isinstance(record, np.ndarray):  # its list has the same repr
             record = record.tolist()
         raise StructuralError(_record_fault(record, rank))
+    tensor = np.zeros((rank, rank, rank), dtype=np.int64)  # only once the records pass
     tensor[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = mult
     tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
     return FusionRule(labels=tuple(labels), dual=tuple(dual), tensor=tensor)

@@ -382,9 +382,10 @@ def traced_peak(call) -> int:
 
 
 class TestOneCube:
-    """``validate`` and ``parse_rule`` hold the rule's int64 cube and little
-    more: the symmetry tests gather over the nonzero cells, and the parsed
-    cube is handed to ``FusionRule`` uncopied."""
+    """``validate``, ``parse_rule`` and ``product`` hold the rule's int64 cube
+    and little more: the symmetry tests gather over the nonzero cells, and
+    the parsed cube and the product's cube are handed to ``FusionRule``
+    uncopied."""
 
     def test_validate_peak(self):
         rule = drinfeld_double(builtin_group("z12"))  # rank 144, a 22.8 MiB cube
@@ -394,6 +395,11 @@ class TestOneCube:
         rule = drinfeld_double(builtin_group("z12"))
         text = dump_rule(rule)
         assert traced_peak(lambda: parse_rule(text) == rule) < 1.25 * rule.tensor.nbytes
+
+    def test_product_peak(self):
+        a, b = drinfeld_double(builtin_group("z4")), su2k(6)
+        cube = (a.rank * b.rank) ** 3 * 8  # rank 112, 10.7 MiB
+        assert traced_peak(lambda: product(a, b).rank == 112) < 1.25 * cube
 
 
 def sparse_defects(t):

@@ -68,6 +68,17 @@ MORE_DOUBLE_HASHES = {
 }
 
 
+# the same hashes for the named fixtures, recorded from the per-fixture
+# builders that the one table of products replaced
+FIXTURE_HASHES = {
+    "fibonacci": "8d7a14bb61c8a41ac34a36b49d1888c897732f264ae8ae496a56dc5cec2792c3",
+    "ising": "5b4ecd61ed5cf50878320931fe65ccf5bc8f7f1cb728bd76c60bc2a2c121e91a",
+    "so8_2": "0ebbcf13b84e6ffe1e611e11afa885e0db06254e8308cf0782572642340ff784",
+    "toric": "48b580943b8b28f1e5bcc83d9702e780cd14949e6940b285649c8c6be35cdb33",
+    "trivial": "637176b47bd9955bb14acb8695cddae0827e29ccca6f15025cfac4b5b966c107",
+}
+
+
 def _more_double_groups():
     return {
         "a5": alternating(5),
@@ -152,6 +163,11 @@ class TestNamedFixture:
         assert set(fixture_names()) == {"trivial", "ising", "fibonacci", "toric", "so8_2"}
         for name in fixture_names():
             assert validate(named_fixture(name)).valid, name
+
+    def test_frozen_hashes(self):
+        assert set(fixture_names()) == set(FIXTURE_HASHES)
+        for name in fixture_names():
+            assert _double_hash(named_fixture(name)) == FIXTURE_HASHES[name], name
 
     def test_unknown_name_lists_catalogue(self):
         with pytest.raises(UnknownFixtureError) as err:

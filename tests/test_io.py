@@ -2,6 +2,8 @@
 indenting JSON encoder writes them (``tests/oracles.py``)."""
 
 import json
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from fusionrules import (
     su2k,
 )
 from fusionrules.groups import FiniteGroup
-from fusionrules.io import dump_group, dump_rule, parse_rule, rule_to_dict
+from fusionrules.io import _split_records, dump_group, dump_rule, parse_rule, rule_to_dict
 
 from oracles import dump_group_reference, dump_rule_reference, parse_rule_reference
 
@@ -218,6 +220,26 @@ class TestParseRule:
         text = self.DECLINED[name]
         _assert_same_outcome(text)
         _assert_same_outcome(text.encode("utf-8"))
+
+    def test_bad_records_are_refused_before_the_cube(self):
+        # a rank-400 int64 cube is 488 MiB; the second record fails first
+        dual = json.dumps(list(range(400)))
+        fusion = '"fusion": [[0, 0, 0, 1], [0, 1, 1, 0]]'
+        texts = {
+            "reader": f'{{"rank": 400, "dual": {dual}, {fusion}}}',
+            "json.loads": f'{{{fusion}, "rank": 400, "dual": {dual}}}',
+        }
+        message = re.escape("fusion record [0, 1, 1, 0] must have multiplicity >= 1")
+        for path, text in texts.items():
+            assert (_split_records(text) is not None) == (path == "reader"), path
+            tracemalloc.start()
+            try:
+                with pytest.raises(StructuralError, match=message):
+                    parse_rule(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, path
 
     def test_int64_bound_is_exact(self):
         assert parse_rule(self.DECLINED["int64_max"]).tensor[1, 1, 0] == 2**63 - 1
