@@ -30,6 +30,13 @@ __all__ = [
     "product",
 ]
 
+_SIGNED = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _narrowest_int(top: int) -> type:
+    """The narrowest signed integer dtype that holds every value in ``0..top``."""
+    return next(dtype for dtype in _SIGNED if top <= np.iinfo(dtype).max)
+
 
 def default_labels(rank: int) -> tuple[str, ...]:
     return ("1",) + tuple(f"x{i}" for i in range(1, rank))
@@ -42,6 +49,12 @@ class FusionRule:
     Only structural well-formedness is enforced at construction (shapes,
     dtypes, ``dual`` a permutation); whether the tensor satisfies the fusion
     axioms is the business of :func:`validate`.
+
+    The tensor is a read-only, C-ordered signed-integer cube.  A read-only
+    int8, int16, int32 or int64 cube that owns its data is kept as it is, so
+    a producer can hand over a narrow cube uncopied; any other tensor is
+    copied into int64.  Equality and hashing ignore the dtype, and every
+    analysis sums or multiplies entries in int64 or float.
     """
 
     labels: tuple[str, ...]
@@ -79,10 +92,11 @@ class FusionRule:
         # range checks before the cast, which would wrap or saturate out-of-range values
         if tensor.min() < 0:
             raise StructuralError("tensor entries must be non-negative")
-        if tensor.dtype != np.int64 and int(tensor.max()) >= 2**63:
+        # only uint64 and float dtypes hold values of 2**63 or more
+        if not np.can_cast(tensor.dtype, np.int64) and int(tensor.max()) >= 2**63:
             raise StructuralError("tensor entries must be below 2**63 to fit int64")
-        flags = tensor.flags  # a read-only int64 cube that owns its data is kept as it is
-        if tensor.dtype != np.int64 or flags.writeable or not (flags.owndata and flags.c_contiguous):
+        flags = tensor.flags  # a read-only signed-integer cube that owns its data is kept as it is
+        if tensor.dtype not in _SIGNED or flags.writeable or not (flags.owndata and flags.c_contiguous):
             tensor = tensor.astype(np.int64, order="C")
             tensor.flags.writeable = False
         object.__setattr__(self, "labels", labels)
@@ -113,7 +127,7 @@ class FusionRule:
         return self.labels == other.labels and self.same_tensor(other)
 
     def __hash__(self):
-        return hash((self.labels, self.dual, self.tensor.tobytes()))
+        return hash((self.labels, self.dual, self.tensor.astype(np.int64, copy=False).tobytes()))
 
     def __repr__(self):
         return f"FusionRule(rank={self.rank}, labels={list(self.labels)})"
@@ -436,8 +450,10 @@ def fp_dimensions(rule: FusionRule) -> FPDimData:
 
     threshold = FP_TOLERANCE * 1e-2
     N = rule.tensor
-    if N.shape[0] * int(N.max()) > 2**63 - 1:  # validate refuses these first
-        raise CapacityError(f"sum_i N_i needs rank * max(N) <= 2**63 - 1; this rank-{N.shape[0]} "
+    r = N.shape[0]
+    # validate refuses these first; the dtype alone bounds int8, int16 and int32 cubes
+    if r * int(np.iinfo(N.dtype).max) > 2**63 - 1 and r * int(N.max()) > 2**63 - 1:
+        raise CapacityError(f"sum_i N_i needs rank * max(N) <= 2**63 - 1; this rank-{r} "
                             f"tensor has max entry {int(N.max())}")
     M = N.sum(axis=0)
     top = int(M.max())
@@ -487,6 +503,8 @@ def product(a: FusionRule, b: FusionRule) -> FusionRule:
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
     dual = tuple(a.dual[i] * rb + b.dual[p] for i in range(ra) for p in range(rb))
     tensor = np.empty((ra * rb,) * 3, dtype=np.int64)
-    np.einsum("ijk,pqr->ipjqkr", a.tensor, b.tensor, out=tensor.reshape(ra, rb, ra, rb, ra, rb))
+    # multiplied in int64, whatever the factors' dtypes, so narrow cubes cannot wrap
+    out = tensor.reshape(ra, rb, ra, rb, ra, rb)
+    np.einsum("ijk,pqr->ipjqkr", a.tensor, b.tensor, out=out, dtype=np.int64)
     tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
     return FusionRule(labels=labels, dual=dual, tensor=tensor)

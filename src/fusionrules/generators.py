@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FusionRule
+from .core import FusionRule, _narrowest_int
 from .errors import CapacityError, UnknownFixtureError
 from .groups import FiniteGroup, _characters, _field
 
@@ -20,7 +20,9 @@ __all__ = [
 
 # |G|**2 < 2**15 up to here, so every multiplicity of the double fits int16
 _INT16_ORDER_LIMIT = 181
-_DOUBLE_RANK_LIMIT = 24**2  # the rank of D(Z24), a 1.42 GiB int64 cube; rank <= |G|**2 for any G
+# D(Heis(5)) has rank 745; rank <= |G|**2 for any G.  At this rank the build
+# holds a 0.90 GiB int16 cube and its 0.45 GiB int8 copy
+_DOUBLE_RANK_LIMIT = 28**2  # the rank of D(Z28)
 
 
 def pointed(group: FiniteGroup) -> FusionRule:
@@ -29,6 +31,7 @@ def pointed(group: FiniteGroup) -> FusionRule:
     tensor = np.zeros((n, n, n), dtype=np.int64)
     idx = np.arange(n)
     tensor[idx[:, None], idx, group.table] = 1
+    tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
     labels = ("1",) + tuple(f"g{i}" for i in range(1, n))
     return FusionRule(labels=labels, dual=group.inverses, tensor=tensor)
 
@@ -44,7 +47,9 @@ def su2k(k: int) -> FusionRule:
     a, b, c = np.indices((r, r, r), sparse=True)  # open grids, not three rank**3 arrays
     allowed = ((a + b + c) % 2 == 0) & (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
     labels = tuple(str(a // 2) if a % 2 == 0 else f"{a}/2" for a in range(r))
-    return FusionRule(labels=labels, dual=tuple(range(r)), tensor=allowed.astype(np.int64))
+    tensor = allowed.astype(np.int64)
+    tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
+    return FusionRule(labels=labels, dual=tuple(range(r)), tensor=tensor)
 
 
 def _from_products(labels, products) -> FusionRule:
@@ -60,6 +65,7 @@ def _from_products(labels, products) -> FusionRule:
         for k in outcomes:
             tensor[i, j, k] = 1
             tensor[j, i, k] = 1
+    tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
     return FusionRule(labels=tuple(labels), dual=tuple(range(r)), tensor=tensor)
 
 
@@ -130,7 +136,10 @@ def drinfeld_double(group: FiniteGroup) -> FusionRule:
 
     Each residue is the multiplicity itself: ``N[X, Y, Z] <= d_X d_Y <=
     |G|**2 < p``.  The int16 tensor holds that up to order 181; larger groups
-    are refused at once, and doubles of rank above 576 before the cube.
+    are refused at once, and doubles of rank above 784 before the cube.  The
+    assembled cube is narrowed once to the narrowest signed dtype that holds
+    its largest entry, int8 up to 127 (D(S5)'s largest is 5), and handed to
+    ``FusionRule`` uncopied.
     """
     n = group.order
     if n > _INT16_ORDER_LIMIT:
@@ -189,5 +198,7 @@ def drinfeld_double(group: FiniteGroup) -> FusionRule:
                 raw = conv.reshape(-1, len(cz)) @ weighted[c] % p
                 tensor[span[a], span[b], span[c]] = raw.reshape(len(left), len(right), -1)
 
+    tensor = tensor.astype(_narrowest_int(int(tensor.max())), copy=False)
+    tensor.flags.writeable = False
     dual = np.argmax(tensor[:, :, 0], axis=1)
     return FusionRule(labels=tuple(names), dual=tuple(dual.tolist()), tensor=tensor)

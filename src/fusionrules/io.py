@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .acyclicity import adjoint_graph
-from .core import FusionRule, _nonzero, default_labels
+from .core import FusionRule, _narrowest_int, _nonzero, default_labels
 from .errors import StructuralError
 from .groups import FiniteGroup
 
@@ -138,7 +138,8 @@ def _rule_from(data: dict, rows: np.ndarray | None) -> FusionRule:
         if isinstance(record, np.ndarray):  # its list has the same repr
             record = record.tolist()
         raise StructuralError(_record_fault(record, rank))
-    tensor = np.zeros((rank, rank, rank), dtype=np.int64)  # only once the records pass
+    # only once the records pass, in the narrowest dtype that holds them
+    tensor = np.zeros((rank, rank, rank), dtype=_narrowest_int(int(mult.max(initial=0))))
     tensor[ijk[:, 0], ijk[:, 1], ijk[:, 2]] = mult
     tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied
     return FusionRule(labels=tuple(labels), dual=tuple(dual), tensor=tensor)

@@ -363,13 +363,13 @@ class TestGenCommand:
         assert _double_hash(rule) == MORE_DOUBLE_HASHES["a5"]
 
     def test_double_past_rank_cap_exit_two(self, tmp_path, capsys):
-        group_file = tmp_path / "z25.json"
-        group_file.write_text(dump_group(cyclic(25)), encoding="utf-8")
-        out = tmp_path / "z25.rule"
+        group_file = tmp_path / "z29.json"
+        group_file.write_text(dump_group(cyclic(29)), encoding="utf-8")
+        out = tmp_path / "z29.rule"
         assert main(["gen", "double", "--group", str(group_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "625" in err and "Traceback" not in err
+        assert "841" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_pointed(self, tmp_path):

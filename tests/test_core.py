@@ -14,11 +14,13 @@ from fusionrules import (
     NumericalError,
     StructuralError,
     builtin_group_names,
+    central_series,
     core,
     cyclic,
     drinfeld_double,
     dump_rule,
     enumerate_rules,
+    find_cycle,
     fixture_names,
     fp_dimensions,
     is_acyclic,
@@ -35,6 +37,7 @@ from fusionrules.core import (
     _commuting_certificate,
     _full_rank_mod,
     _integer_dims,
+    _narrowest_int,
     _nonzero,
     default_labels,
 )
@@ -138,7 +141,7 @@ class TestFusionRule:
         rules = [*corpus.values(), parse_rule(dump_rule(su2k(4))), product(su2k(2), su2k(3))]
         for rule in rules:
             flags = rule.tensor.flags
-            assert not flags.writeable and flags.c_contiguous and rule.tensor.dtype == np.int64
+            assert not flags.writeable and flags.c_contiguous and rule.tensor.dtype.kind == "i"
 
     def test_writeable_tensor_is_copied(self):
         t = np.array(rank2_rule().tensor)
@@ -149,8 +152,8 @@ class TestFusionRule:
     @pytest.mark.parametrize("make", [
         lambda t: t[:],                           # a view
         lambda t: np.asfortranarray(t),           # owns its data, not C-contiguous
-        lambda t: t.astype(np.int16),             # drinfeld_double's dtype
-        lambda t: t.astype(np.int32),
+        lambda t: t.astype(np.uint16),            # unsigned, so cast to int64
+        lambda t: t.astype(np.float64),
     ])
     def test_read_only_tensor_is_copied_unless_an_owned_int64_cube(self, make):
         owned = np.array(rank2_rule().tensor)
@@ -160,12 +163,32 @@ class TestFusionRule:
         rule = FusionRule(labels=("1", "x"), dual=(0, 1), tensor=given)
         assert not np.shares_memory(rule.tensor, given) and not np.shares_memory(rule.tensor, owned)
         assert rule.tensor.flags.c_contiguous and not rule.tensor.flags.writeable
-        assert rule.same_tensor(rank2_rule())
+        assert rule.tensor.dtype == np.int64 and rule.same_tensor(rank2_rule())
 
     def test_read_only_owned_int64_cube_is_kept(self):
         t = np.array(rank2_rule().tensor)
         t.flags.writeable = False
         assert FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t).tensor is t
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_read_only_owned_narrow_cube_is_kept(self, dtype):
+        t = rank2_rule().tensor.astype(dtype)
+        t.flags.writeable = False
+        rule = FusionRule(labels=("1", "x"), dual=(0, 1), tensor=t)
+        assert rule.tensor is t and rule == rank2_rule() and hash(rule) == hash(rank2_rule())
+
+    def test_producers_dtypes(self):
+        # doubles and parsed files hold the narrowest dtype; the rest int64
+        assert drinfeld_double(builtin_group("s3")).tensor.dtype == np.int8
+        for n, dtype in [(127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.int32),
+                         (2**31, np.int64)]:
+            assert parse_rule(dump_rule(rank2_rule(self_channel=n))).tensor.dtype == dtype
+        rules = [pointed(cyclic(3)), su2k(3), named_fixture("ising"), product(su2k(1), su2k(1))]
+        assert all(rule.tensor.dtype == np.int64 for rule in rules)
+
+    def test_int64_hash_is_the_hash_of_its_bytes(self):
+        rule = rank2_rule(self_channel=3)
+        assert hash(rule) == hash((rule.labels, rule.dual, rule.tensor.tobytes()))
 
     def test_outcomes_and_pointedness(self):
         ising = named_fixture("ising")
@@ -382,19 +405,31 @@ def traced_peak(call) -> int:
 
 
 class TestOneCube:
-    """``validate``, ``parse_rule`` and ``product`` hold the rule's int64 cube
-    and little more: the symmetry tests gather over the nonzero cells, and
-    the parsed cube and the product's cube are handed to ``FusionRule``
-    uncopied."""
+    """``validate``, ``parse_rule``, ``product`` and the generators hold one
+    cube and little more: the symmetry tests gather over the nonzero cells,
+    and every producer hands its cube to ``FusionRule`` uncopied.  The
+    bounds are in bytes of D(Z12)'s cube in int64; a double and a parsed
+    file hold it in int8."""
+
+    INT64_Z12 = 144**3 * 8  # D(Z12) has rank 144: 22.8 MiB in int64, 2.8 MiB in int8
 
     def test_validate_peak(self):
-        rule = drinfeld_double(builtin_group("z12"))  # rank 144, a 22.8 MiB cube
-        assert traced_peak(lambda: validate(rule).valid) < rule.tensor.nbytes / 4
+        rule = drinfeld_double(builtin_group("z12"))
+        assert traced_peak(lambda: validate(rule).valid) < self.INT64_Z12 / 4
 
     def test_parse_peak(self):
         rule = drinfeld_double(builtin_group("z12"))
         text = dump_rule(rule)
-        assert traced_peak(lambda: parse_rule(text) == rule) < 1.25 * rule.tensor.nbytes
+        assert traced_peak(lambda: parse_rule(text) == rule) < 1.25 * self.INT64_Z12
+
+    def test_double_peak(self):
+        # the int16 cube and its int8 copy, 3 bytes a cell; an int64 copy made 10
+        group = builtin_group("z12")
+        assert traced_peak(lambda: drinfeld_double(group).rank == 144) < 144**3 * 4
+
+    def test_pointed_peak(self):
+        group = cyclic(100)  # a 7.6 MiB int64 cube, which a copy would double
+        assert traced_peak(lambda: pointed(group).rank == 100) < 1.25 * 100**3 * 8
 
     def test_product_peak(self):
         a, b = drinfeld_double(builtin_group("z4")), su2k(6)
@@ -578,12 +613,12 @@ class TestCommutingCertificate:
     @pytest.mark.slow
     def test_double_of_d4_x_d4_is_proved(self, monkeypatch):
         # rank 484: no float32 draw is cyclic, so this needs the float64 draw;
-        # about 4 s and 1.1 GB, outside tier-1 (pytest -m slow)
+        # about 4 s and 0.36 GB, outside tier-1 (pytest -m slow)
         d4 = builtin_group("d4")
         rule = drinfeld_double(direct_product(d4, d4))
         assert rule.rank == 484
         taken = record_paths(monkeypatch)
-        assert traced_peak(lambda: validate(rule).valid) < 2**30 / 4  # the cube is 0.9 GiB
+        assert traced_peak(lambda: validate(rule).valid) < 2**30 / 4  # an int64 cube is 0.9 GiB
         assert taken == ["_commuting_certificate"]
 
     def test_non_commutative_rule_is_listed(self, monkeypatch):
@@ -828,3 +863,60 @@ class TestProduct:
         assert validate(prod).valid
         da, db, dp = fp_dimensions(a), fp_dimensions(b), fp_dimensions(prod)
         assert np.allclose(dp.dims, np.outer(da.dims, db.dims).ravel(), rtol=1e-6, atol=0)
+
+
+# where int8 and int16 end, so a wrap in either would show
+EDGES = (127, 128, 32_767, 32_768)
+
+
+@st.composite
+def edge_rules(draw):
+    """An int64 rule of rank 1 to 4 with entries 0..3 and ``EDGES``: either
+    random, or the valid rank-2 ring ``x x = 1 + n x`` with ``n`` in ``EDGES``."""
+    if draw(st.booleans()):
+        return rank2_rule(self_channel=draw(st.sampled_from(EDGES)))
+    r = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(0, 3), st.sampled_from(EDGES))
+    flat = draw(st.lists(entries, min_size=r**3, max_size=r**3))
+    dual = tuple(draw(st.permutations(range(r))))
+    return FusionRule(labels=default_labels(r), dual=dual, tensor=np.array(flat).reshape(r, r, r))
+
+
+def narrowed(rule: FusionRule) -> FusionRule:
+    """``rule`` with its cube in the narrowest signed dtype, kept uncopied."""
+    t = rule.tensor.astype(_narrowest_int(int(rule.tensor.max())))
+    t.flags.writeable = False
+    narrow = FusionRule(labels=rule.labels, dual=rule.dual, tensor=t)
+    assert narrow.tensor is t
+    return narrow
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (CapacityError, NumericalError, StructuralError) as exc:
+        return type(exc), str(exc)
+
+
+class TestNarrowCube:
+    """A rule held in int8, int16 or int32 behaves as its int64 copy: every
+    analysis promotes the entries before it sums or multiplies them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_rules(), edge_rules())
+    def test_narrow_rule_agrees_with_its_int64_copy(self, wide, other):
+        narrow = narrowed(wide)
+        assert narrow == wide and wide == narrow and hash(narrow) == hash(wide)
+        for analysis in (validate, fp_dimensions, find_cycle, central_series, dump_rule):
+            assert outcome(analysis, narrow) == outcome(analysis, wide), analysis.__name__
+        prod = outcome(product, narrow, narrowed(other))
+        assert prod == outcome(product, wide, other)
+        assert not isinstance(prod, FusionRule) or prod.tensor.dtype == np.int64
+
+    @pytest.mark.parametrize("n", EDGES)
+    def test_edge_entries_keep_their_values(self, n):
+        narrow = narrowed(rank2_rule(self_channel=n))
+        assert narrow.tensor.dtype == _narrowest_int(n) and int(narrow.tensor[1, 1, 1]) == n
+        assert validate(narrow).valid
+        assert int(product(narrow, narrow).tensor[3, 3, 3]) == n * n

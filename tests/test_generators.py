@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def _more_double_groups():
 
 def _double_hash(rule) -> str:
     head = json.dumps([list(rule.labels), list(rule.dual)]).encode()
-    return hashlib.sha256(head + rule.tensor.tobytes()).hexdigest()
+    return hashlib.sha256(head + rule.tensor.astype(np.int64).tobytes()).hexdigest()
 
 
 class TestPointed:
@@ -259,8 +260,8 @@ class TestDrinfeldDouble:
             return zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(generators.np, "zeros", no_cube)
-        with pytest.raises(CapacityError, match="625.*576"):
-            drinfeld_double(cyclic(25))
+        with pytest.raises(CapacityError, match="841.*784"):
+            drinfeld_double(cyclic(29))
         # the group is the only parameter: no order cap, by position or keyword
         assert list(inspect.signature(drinfeld_double).parameters) == ["group"]
         with pytest.raises(TypeError):
@@ -300,6 +301,21 @@ class TestDrinfeldDouble:
         dual, tensor = double_by_verlinde(group)
         assert rule.dual == dual
         assert np.array_equal(rule.tensor, tensor)
+
+    @pytest.mark.slow
+    def test_double_of_z5_x_z5_at_rank_625(self):
+        # about 6 s; the build holds the int16 cube and its int8 copy, 0.7 GiB,
+        # where one int64 cube is 1.8 GiB (pytest -m slow)
+        group = direct_product(cyclic(5), cyclic(5))
+        tracemalloc.start()
+        try:
+            rule = drinfeld_double(group)
+            assert rule.rank == 625 and rule.tensor.dtype == np.int8
+            assert validate(rule).valid and is_acyclic(rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**30
 
     def test_matches_verlinde_oracle(self):
         groups = {name: builtin_group(name) for name in builtin_group_names()}
