@@ -175,34 +175,61 @@ def _split_records(text: str) -> tuple[dict, np.ndarray] | None:
         return None
     if not (isinstance(head, dict) and head.get("fusion") == []):
         return None
-    rows = _read_rows(text[start:stop])
+    rows = _read_rows(text, start, stop - 1)
     return None if rows is None else (head, rows)
 
 
-def _read_rows(array: str) -> np.ndarray | None:
-    """``[[i,j,k,m],...]`` with JSON whitespace between tokens as an int64
-    ``(n, 4)`` array, or None."""
-    if not array.isascii():
-        return None
-    raw = array.encode("ascii")
+# characters of the fusion array read at a time, so that every temporary of a
+# large file is about this size rather than a multiple of the whole text
+_PIECE = 1 << 16
+
+
+def _read_rows(text: str, start: int, end: int) -> np.ndarray | None:
+    """The fusion array ``text[start:end + 1]``, ``[[i,j,k,m],...]`` with JSON
+    whitespace between tokens, as an int64 ``(n, 4)`` array, or None.
+
+    ``text[start]`` is its ``[`` and ``text[end]`` its ``]``.  The records are
+    read in pieces of about ``_PIECE`` characters, each cut just after a ``]``,
+    so no piece splits a number.  A piece holds the ``[`` of the array or the
+    ``,`` after the previous piece's last record, then ``m`` whole records."""
+    parts = []
+    lo = start
+    while lo < end:
+        hi = text.find("]", min(lo + _PIECE, end), end) + 1 or end
+        piece = text[lo:hi]
+        if not piece.isascii():
+            return None
+        rows = _piece_rows(piece.encode("ascii"), b"[" if lo == start else b",")
+        if rows is None:
+            return None
+        parts.append(rows)
+        lo = hi
+    return np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64)
+
+
+def _piece_rows(raw: bytes, lead: bytes) -> np.ndarray | None:
+    """The records of one piece of ``_read_rows`` as an int64 ``(m, 4)``
+    array, or None; ``lead`` is the separator the piece must open with."""
     packed = raw.translate(None, _JSON_SPACE.encode())
-    if packed == b"[]":
-        return np.empty((0, 4), dtype=np.int64)
     chars = np.frombuffer(packed, dtype=np.uint8)
     seps = np.flatnonzero((chars - ord("0")) >= 10)  # every byte but the digits
-    n = (len(seps) - 1) // 6
-    if n < 1 or chars[seps].tobytes() != b"[" + b"[,,,]," * (n - 1) + b"[,,,]]":
+    m = len(seps) // 6
+    if not m:  # the "[" of the empty array, or whitespace after the last record
+        empty = lead if lead == b"[" else b""
+        return np.empty((0, 4), dtype=np.int64) if packed == empty else None
+    if chars[seps].tobytes() != lead + b"[,,,]," * (m - 1) + b"[,,,]":
         return None
     # per record: the "[" or "," before it, its "[", three ",", "]"
-    width = np.diff(seps).reshape(n, 6)[:, 1:5] - 1
-    if width.min() < 1 or width.max() > _MAX_DIGITS or width.sum() != len(packed) - len(seps):
+    seps = seps.reshape(m, 6)
+    first = seps[:, 1:5] + 1
+    width = seps[:, 2:] - first
+    if width.min() < 1 or width.max() > _MAX_DIGITS or width.sum() != len(packed) - 6 * m:
         return None  # an empty slot, too many digits, or digits outside the slots
-    first = seps[1:].reshape(n, 6)[:, :4] + 1
     if ((width > 1) & (chars[first] == ord("0"))).any():  # leading zeros
         return None
     # removing the whitespace must not have joined two numbers, as in "1 2"
     digit = (np.frombuffer(raw, dtype=np.uint8) - ord("0")) < 10
-    if np.count_nonzero(digit[1:] > digit[:-1]) != 4 * n:
+    if np.count_nonzero(digit[1:] > digit[:-1]) != 4 * m:
         return None
     rows = chars[first].astype(np.int64) - ord("0")
     end = first + width

@@ -23,6 +23,7 @@ from fusionrules import (
     product,
     su2k,
 )
+from fusionrules import io as fio
 from fusionrules.groups import FiniteGroup
 from fusionrules.io import _split_records, dump_group, dump_rule, parse_rule, rule_to_dict
 
@@ -196,6 +197,23 @@ class TestParseRule:
             text = text[:at] + char + text[at + (edit != "insert"):]
         _assert_same_outcome(text)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 2), st.sampled_from([1, 7, 40]))
+    def test_pieces_match_reference(self, corpus, data, layout, piece):
+        """Read a few characters at a time, the reader still takes every
+        written layout, and a mutated text gets the reference's outcome."""
+        small = [rule for rule in corpus.values() if rule.rank <= 12]
+        rule = data.draw(st.one_of(st.sampled_from(small), labelled_rules(top=10**18 - 1)))
+        text = _layouts(rule)[layout]
+        with mock.patch.object(fio, "_PIECE", piece):
+            assert _parse_by_reader(text) == rule
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(text)))
+                edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+                char = "" if edit == "delete" else data.draw(st.sampled_from(MUTATION_ALPHABET))
+                text = text[:at] + char + text[at + (edit != "insert"):]
+            _assert_same_outcome(text)
+
     HEAD = '{"rank": 2, "labels": ["1", "x"], "dual": [0, 1], '
     DECLINED = {
         "leading_zero": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 01]]}',
@@ -213,6 +231,10 @@ class TestParseRule:
         "escaped_key": '{"rank": 1, "dual": [0], "fusi\\u006fn": [[0, 0, 0, 1]]}',
         "escaped_quote": '{"rank": 1, "dual": [0], "fusi\\u006fn": [], "a\\"fusion": [[0, 0, 0, 2]]}',
         "byte_order_mark": "\ufeff" + HEAD + '"fusion": [[0, 0, 0, 1]]}',
+        "digit_after_last": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 1] 5]}',
+        "comma_after_last": HEAD + '"fusion": [[0, 0, 0, 1], [1, 1, 0, 1],]}',
+        "digit_between": HEAD + '"fusion": [[0, 0, 0, 1] 5, [1, 1, 0, 1]]}',
+        "bracket_between": HEAD + '"fusion": [[0, 0, 0, 1]] [1, 1, 0, 1]]}',
     }
 
     @pytest.mark.parametrize("name", sorted(DECLINED))
@@ -220,6 +242,24 @@ class TestParseRule:
         text = self.DECLINED[name]
         _assert_same_outcome(text)
         _assert_same_outcome(text.encode("utf-8"))
+
+    def test_reader_peak_is_below_twice_the_text(self):
+        # su2k(60): a 2.0 MB text, about 30 pieces; its rows take 1.3 MB
+        text = dump_rule(su2k(60))
+        parse_rule(text)
+        tracemalloc.start()
+        try:
+            parse_rule(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
+
+    @pytest.mark.parametrize("piece", [1, 7])
+    def test_declined_texts_in_pieces(self, piece):
+        with mock.patch.object(fio, "_PIECE", piece):
+            for text in self.DECLINED.values():
+                _assert_same_outcome(text)
 
     def test_bad_records_are_refused_before_the_cube(self):
         # a rank-400 int64 cube is 488 MiB; the second record fails first
