@@ -45,7 +45,9 @@ def su2k(k: int) -> FusionRule:
         raise ValueError("level k must be >= 1")
     r = k + 1
     a, b, c = np.indices((r, r, r), sparse=True)  # open grids, not three rank**3 arrays
-    allowed = ((a + b + c) % 2 == 0) & (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
+    # (a + b) % 2 == c % 2 is an r**2 grid against a line, so only the bool
+    # masks reach rank**3, not int64 sums
+    allowed = ((a + b) % 2 == c % 2) & (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
     labels = tuple(str(a // 2) if a % 2 == 0 else f"{a}/2" for a in range(r))
     tensor = allowed.astype(np.int64)
     tensor.flags.writeable = False  # nothing else holds it, so FusionRule keeps it uncopied

@@ -145,4 +145,5 @@ def restrict(rule: FusionRule, support: LabelSet) -> FusionRule:
     labels = tuple(rule.labels[i] for i in idx)
     dual = tuple(back[rule.dual[i]] for i in idx)
     tensor = rule.tensor[np.ix_(idx, idx, idx)]
+    tensor.flags.writeable = False  # a fresh C-ordered gather, so FusionRule keeps its dtype
     return FusionRule(labels=labels, dual=dual, tensor=tensor)

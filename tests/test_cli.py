@@ -152,6 +152,10 @@ PARSE_FAULTS = {
     "float": ([[10, 10, 10, 1.0]], "fusion record [10, 10, 10, 1.0] is not a list of 4 integers"),
     "index_out_of_range": ([[10, 11, 0, 1]],
                            "fusion record [10, 11, 0, 1] has indices out of range"),
+    "third_index_out_of_range": ([[10, 10, 11, 1]],
+                                 "fusion record [10, 10, 11, 1] has indices out of range"),
+    "negative_second_index": ([[10, -1, 10, 1]],
+                              "fusion record [10, -1, 10, 1] has indices out of range"),
     "zero_multiplicity": ([[10, 10, 10, 0]],
                           "fusion record [10, 10, 10, 0] must have multiplicity >= 1"),
     "above_int64": ([[10, 10, 10, 2**63]],

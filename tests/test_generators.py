@@ -158,6 +158,18 @@ class TestSu2k:
         with pytest.raises(ValueError):
             su2k(0)
 
+    def test_build_peak_is_the_cube_and_one_mask(self):
+        # the parity test compares an r**2 grid with a line, so no int64
+        # temporary reaches rank**3; the int64 cube plus one bool cube is 1.125x
+        su2k(60)
+        tracemalloc.start()
+        try:
+            rule = su2k(60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * rule.tensor.nbytes
+
 
 class TestNamedFixture:
     def test_catalogue(self):

@@ -45,16 +45,51 @@ def test_power_radius_handles_periodic_matrices():
 
 @pytest.mark.parametrize(
     "rank,max_mult,bare_axioms",
-    [(3, 2, False), (4, 1, False), (4, 2, False), (3, 2, True), (4, 1, True)],
+    [(3, 2, False), (4, 1, False), (4, 2, False), (4, 3, False),
+     (3, 2, True), (3, 3, True), (4, 1, True)],
 )
 def test_search_matches_reference(rank, max_mult, bare_axioms):
     # the same plans on both sides, without the lex-leader symmetries, which
-    # the reference does not apply: compiled index tuples against the m loop
+    # the reference does not apply: compiled index tuples and forced values
+    # against the m loop over every value
     for dual in _involutions(rank):
         plan = replace(_prepare(rank, dual, bare_axioms), symmetries=[])
         expected = search_tensors_reference(plan, max_mult, rank)
         assert len(expected), dual
         assert _kernels.search_tensors(plan, max_mult, rank) == expected, dual
+
+
+class _CountedCells(tuple):
+    """An orbit's other cells; the search passes over them once per value it
+    writes, so the passes count its nodes."""
+
+    passes = 0
+
+    def __iter__(self):
+        _CountedCells.passes += 1
+        return super().__iter__()
+
+
+def _search_nodes(plan, max_mult, rank):
+    """The solutions and the number of values written (nodes) of a search."""
+    plan = replace(plan, orbit_b=[_CountedCells(b) for b in plan.orbit_b])
+    _CountedCells.passes = 0
+    _kernels.search_tensors(plan, -1, rank)  # compiles, then writes no value
+    setup = _CountedCells.passes
+    _CountedCells.passes = 0
+    solutions = _kernels.search_tensors(plan, max_mult, rank)
+    return solutions, _CountedCells.passes - setup
+
+
+@pytest.mark.parametrize("pairs,forced,unforced", [(0, 16237, 38108), (1, 648, 1468)])
+def test_forced_values_skip_only_failing_values(monkeypatch, pairs, forced, unforced):
+    # a quadruple linear in the next orbit's value admits at most one value;
+    # the node counts pin how many failing values that skips at r4 m3
+    plan = _prepare(4, _representative(4, pairs), False)
+    solutions, nodes = _search_nodes(plan, 3, 4)
+    monkeypatch.setattr(_kernels, "FORCING_CANDIDATES", 0)
+    assert _search_nodes(plan, 3, 4) == (solutions, unforced)
+    assert nodes == forced
 
 
 # every class representative at ranks 2-5; the bare-axiom rank-5 self-dual
@@ -63,7 +98,7 @@ LEX_CASES = [
     (rank, max_mult, bare_axioms, pairs)
     for rank, max_mult, bare_axioms in [
         (2, 3, False), (2, 3, True), (3, 3, False), (3, 3, True),
-        (4, 2, False), (4, 1, True), (5, 1, False), (5, 1, True),
+        (4, 2, False), (4, 3, False), (4, 1, True), (5, 1, False), (5, 1, True),
     ]
     for pairs in range((rank - 1) // 2 + 1)
     if (rank, bare_axioms, pairs) != (5, True, 0)

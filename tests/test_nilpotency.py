@@ -10,6 +10,7 @@ from fusionrules import (
     adjoint_subrule,
     central_series,
     closure,
+    drinfeld_double,
     named_fixture,
     pointed,
     restrict,
@@ -162,6 +163,15 @@ class TestRestrict:
         rule = restrict(su2k(4), LabelSet(members=(0, 2, 4)))
         assert rule.rank == 3
         assert validate(rule).valid
+
+    def test_narrow_cube_keeps_its_dtype(self):
+        double = drinfeld_double(builtin_group("d4"))
+        wide = FusionRule(labels=double.labels, dual=double.dual,
+                          tensor=double.tensor.astype(np.int64))
+        support = adjoint_subrule(double)
+        rule = restrict(double, support)
+        assert double.tensor.dtype == rule.tensor.dtype == np.int8
+        assert rule.same_tensor(restrict(wide, support)) and validate(rule).valid
 
     def test_unclosed_support_rejected(self):
         with pytest.raises(StructuralError):
